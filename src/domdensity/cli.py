@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,11 +33,15 @@ from .criteria import (
 from .density import density_vizing_check, rho
 from .domination import GammaCache, check_vizing, gamma_exact
 from .enumeration import (
+    BiadjacencyMatrix,
     Finding,
-    canonical_key,
+    ScanRecord,
+    canonical_key,  # noqa: F401  (kept in this namespace; bench/tracing.py wraps it here)
     class_record,
+    encode_key,
     enumerate_kreg,
     parse_biadjacency,
+    record_findings,
     to_graph,
 )
 from .errors import CapacityError, FindingError, ParseError, PreconditionError
@@ -49,7 +54,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .rankcheck import obstruction_report
+from .rankcheck import ObstructionReport, obstruction_report
 from .transform import constructive_inequality_check, iterate_leaves
 
 ENV_PREFIX = "DOMDENSITY_"
@@ -254,59 +259,91 @@ def cmd_check_vizing(args) -> int:
     return EXIT_OK
 
 
+# Fields every class record of a scan output carries.
+SCAN_RECORD_FIELDS = [f.name for f in fields(ScanRecord) + fields(ObstructionReport)]
+
+
+def _evaluate_class(m: BiadjacencyMatrix, key: str, cache=None) -> dict:
+    record, _ = class_record(m, cache, key=key)
+    return {**record.to_json(), **obstruction_report(m).to_json()}
+
+
 def _scan_worker(payload):
     n, k, rows, key = payload
-    from .enumeration import BiadjacencyMatrix
-    record, findings = class_record(BiadjacencyMatrix(n, k, rows), key=key)
-    obstruction = obstruction_report(BiadjacencyMatrix(n, k, rows))
-    return record, findings, obstruction
+    return _evaluate_class(BiadjacencyMatrix(n, k, rows), key)
+
+
+def _class_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
+    """Findings of one class, rebuilt from its scan output record."""
+    findings = record_findings(m, record)
+    if record["full_rank"] and record["cover_exists"]:
+        detail = {"rank": record["rank"], "m_rows": record["m_rows"]}
+        if record["k"] == 1:
+            detail["note"] = ("degenerate 1-regular family: the"
+                              " obstruction argument needs k >= 2")
+        findings.append(Finding("obstruction", record["key"], detail))
+    return findings
+
+
+def _scanned_records(path: str) -> dict[str, dict]:
+    """Class records already written to a JSON-lines scan output, by key.
+
+    A final line without its newline is the torn write of a killed run; it
+    is cut off the file, so the resumed run scans that class again and
+    appends its record on a line of its own.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return {}
+    complete = data[:data.rfind(b"\n") + 1]
+    if len(complete) < len(data):
+        os.truncate(path, len(complete))
+    records = {}
+    for line in complete.decode(errors="replace").splitlines():
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if not isinstance(obj, dict) or "key" not in obj:
+            continue
+        missing = [f for f in SCAN_RECORD_FIELDS if f not in obj]
+        if missing:
+            raise ParseError(f"{path}: record {obj['key']!r} lacks {', '.join(missing)}")
+        records[obj["key"]] = obj
+    return records
 
 
 def cmd_scan(args) -> int:
+    if args.resume and (not args.output or args.format != "json"):
+        raise ParseError("--resume needs --output and --format json")
+    done = _scanned_records(args.output) if args.resume else {}
     cache = GammaCache(args.cache) if args.cache else None
     out = open(args.output, "a" if args.resume else "w") if args.output else sys.stdout
-    done: set[str] = set()
-    if args.resume and args.output and Path(args.output).exists():
-        for line in Path(args.output).read_text().splitlines():
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if "key" in obj:
-                done.add(obj["key"])
     try:
-        classes = [(m, canonical_key(m))
+        classes = [(m, encode_key(m.n, m.k, m.rows))
                    for m in enumerate_kreg(args.n, args.k, args.allow_large)]
-        classes = [(m, key) for m, key in classes if key not in done]
         classes.sort(key=lambda t: t[1])
+        todo = [(m, key) for m, key in classes if key not in done]
         if args.jobs > 1:
-            payloads = [(args.n, args.k, m.rows, key) for m, key in classes]
+            payloads = [(args.n, args.k, m.rows, key) for m, key in todo]
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_scan_worker, payloads))
+                records = list(pool.map(_scan_worker, payloads))
         else:
-            results = []
-            for m, key in classes:
-                record, findings = class_record(m, cache, key=key)
-                results.append((record, findings, obstruction_report(m)))
+            records = [_evaluate_class(m, key, cache) for m, key in todo]
 
-        all_findings = []
-        records = []
-        for record, findings, obstruction in results:
-            merged = {**record.to_json(), **obstruction.to_json()}
-            if not obstruction.implication_holds:
-                detail = {"rank": obstruction.rank, "m_rows": obstruction.m_rows}
-                if record.k == 1:
-                    detail["note"] = ("degenerate 1-regular family: the"
-                                      " obstruction argument needs k >= 2")
-                findings = findings + [Finding("obstruction", record.key, detail)]
-            records.append(merged)
-            all_findings.extend(findings)
+        # The summary and the exit status cover the whole cell: records a
+        # resumed run found in --output count as if scanned now.
+        scanned = {**done, **{r["key"]: r for r in records}}
+        cell = [scanned[key] for _, key in classes]
+        all_findings = [f for m, key in classes
+                        for f in _class_findings(m, scanned[key])]
         summary = {
             "type": "summary",
             "n": args.n,
             "k": args.k,
-            "classes": len(records) + len(done),
-            "max_gamma": max((r["gamma"] for r in records), default=0),
+            "classes": len(cell),
+            "max_gamma": max((r["gamma"] for r in cell), default=0),
             "findings": len(all_findings),
         }
         if args.format == "csv":
@@ -459,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=int(_env("JOBS", 1)))
     p.add_argument("--output", help="write JSON-lines records here")
     p.add_argument("--resume", action="store_true",
-                   help="skip classes whose keys already appear in --output")
+                   help="skip classes whose keys already appear in --output"
+                        " (needs --format json)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("thresholds", parents=[common],

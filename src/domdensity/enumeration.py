@@ -1,12 +1,18 @@
 """Exhaustive enumeration of balanced k-regular bipartite graphs.
 
 Instances live as n x n biadjacency matrices with constant row and column
-sums k; equivalence means independent row and column permutations.  Rows
-are generated in nondecreasing order with column-sum feasibility pruning
-and classes are deduplicated through ``canonical_key``.  The scan driver
+sums k; equivalence means independent row and column permutations.  The
+canonical member of a class is its V-minimal matrix, V(M) being the tuple
+of row masks, row 0 first; ``canonical_key`` finds it and encodes its rows
+as the class key.  Generation places rows in nondecreasing order with
+column-sum feasibility pruning, and keeps the columns nonincreasing when
+read with row 0 as the most significant bit.  That is row and column lex
+symmetry breaking (Flener et al., CP 2002, "Breaking row and column
+symmetries in matrix models"); every class has such a doubly-lexical
+member (Lubiw 1987, "Doubly lexical orderings of matrices").  A scan
 compares every class against the conjectured bound 2*ceil(n/k) and the
-order bound 2r, classifies the n = k + 2 structure, and reports violations
-as findings instead of asserting them away.
+order bound 2r, classifies the n = k + 2 structure, and reports
+violations as findings instead of asserting them away.
 """
 
 from __future__ import annotations
@@ -166,8 +172,14 @@ def canonical_key(m: BiadjacencyMatrix) -> str:
 
     descend([0] * n, cols, n - 1)
     assert best is not None
+    return encode_key(n, m.k, best)
+
+
+def encode_key(n: int, k: int, rows) -> str:
+    """Key string of the given row masks: the (n, k) shape, then every row
+    as fixed-width hex, in the given order."""
     width = (n + 3) // 4
-    return f"{n}.{m.k}." + "".join(f"{row:0{width}x}" for row in best)
+    return f"{n}.{k}." + "".join(f"{row:0{width}x}" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +187,26 @@ def canonical_key(m: BiadjacencyMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[BiadjacencyMatrix]:
-    """Yield one representative per row/column-permutation class.
+    """Yield the V-minimal member of every row/column-permutation class,
+    in increasing V order, where V(M) is the tuple of row masks, row 0 first.
 
-    Rows are emitted in nondecreasing mask order starting from the forced
-    minimum row (the k lowest columns), with column-sum feasibility pruning;
-    canonical keys filter duplicates.  Capped at n <= 7 unless explicitly
-    allowed up to 8.
+    Rows are placed in nondecreasing mask order starting from the forced
+    minimum row (the k lowest columns), with column-sum feasibility pruning.
+    The column condition (Lubiw 1987; Flener et al. 2002) cuts the rest:
+    read with row 0 as the most significant bit, column j must not be
+    smaller than column j + 1.  A bitmask of adjacent column pairs still
+    tied over the placed rows makes it a prefix test: a row that sets bit
+    j + 1 but not bit j of a tied pair is rejected.  No class is lost, because its V-minimal member
+
+    - has nondecreasing rows,
+    - has first row (1 << k) - 1,
+    - has column j >= column j + 1 for every j, since swapping the two
+      would lower the first row where they differ.
+
+    Generation runs in increasing V order, so that member is the first of
+    its class to appear.  It is the only matrix whose canonical key is the
+    encoding of its own rows, which is how duplicates are dropped.  Capped
+    at n <= 7 unless explicitly allowed up to 8.
     """
     cap = SCAN_CAP_LARGE if allow_large else SCAN_CAP
     if not 1 <= k <= n:
@@ -195,19 +221,19 @@ def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[Biadja
     ]
     candidates.sort()
     first = (1 << k) - 1
-    seen: set[str] = set()
 
-    def extend(rows: list[int], counts: list[int], start: int):
+    def extend(rows: list[int], counts: list[int], start: int, tied: int):
+        # bit j of ``tied``: columns j and j + 1 agree on every placed row
         if len(rows) == n:
             matrix = BiadjacencyMatrix(n, k, tuple(rows))
-            key = canonical_key(matrix)
-            if key not in seen:
-                seen.add(key)
+            if canonical_key(matrix) == encode_key(n, k, rows):
                 yield matrix
             return
         remaining = n - len(rows) - 1
         for idx in range(start, len(candidates)):
             row = candidates[idx]
+            if (row >> 1) & ~row & tied:
+                continue
             ok = True
             for j in range(n):
                 c = counts[j] + (row >> j & 1)
@@ -219,13 +245,14 @@ def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[Biadja
             for j in range(n):
                 counts[j] += row >> j & 1
             rows.append(row)
-            yield from extend(rows, counts, idx)
+            yield from extend(rows, counts, idx, tied & ~(row ^ (row >> 1)))
             rows.pop()
             for j in range(n):
                 counts[j] -= row >> j & 1
 
     counts0 = [1] * k + [0] * (n - k)
-    yield from extend([first], counts0, 0)
+    tied0 = ((1 << (n - 1)) - 1) & ~(first ^ (first >> 1))
+    yield from extend([first], counts0, 0, tied0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +385,45 @@ class ScanReport:
         }
 
 
+def _case(m: BiadjacencyMatrix) -> str:
+    if m.n == 1:
+        return "other"
+    if m.n <= m.k + 1:
+        return "gamma2"
+    if m.n == m.k + 2:
+        return "gamma4-unique-form" if _twin_structure(m) == "gamma4" else "gamma3"
+    return "other"
+
+
+_CASE_GAMMA = {"gamma2": 2, "gamma3": 3, "gamma4-unique-form": 4}
+
+
+def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
+    """Every finding of class ``m``, read off its record (the fields of
+    ``ScanRecord.to_json``), so a stored record gives the same findings as
+    a fresh evaluation."""
+    key, gamma, case = record["key"], record["gamma"], record["case"]
+    findings: list[Finding] = []
+    expected = _CASE_GAMMA.get(case)
+    if expected is not None and gamma != expected:
+        findings.append(Finding("classification", key,
+                                {"case": case, "gamma": gamma, "expected": expected}))
+    if case == "gamma4-unique-form" and not is_unique_form(m):
+        findings.append(Finding("unique-form", key,
+                                {"detail": "gamma4 structure without twin tiling"}))
+    if case == "gamma3" and is_unique_form(m):
+        findings.append(Finding("unique-form", key,
+                                {"detail": "twin tiling classified gamma3"}))
+    if gamma > record["conj_bound"]:
+        findings.append(Finding("conjecture-bound", key,
+                                {"gamma": gamma, "bound": record["conj_bound"]}))
+    order = record["order_bound"]
+    if order is not None and gamma > order:
+        findings.append(Finding("order-bound", key,
+                                {"gamma": gamma, "bound": order}))
+    return findings
+
+
 def class_record(m: BiadjacencyMatrix, cache: GammaCache | None = None,
                  key: str | None = None) -> tuple[ScanRecord, list[Finding]]:
     """Evaluate one class: exact gamma, both bounds, structure tag, findings."""
@@ -365,49 +431,10 @@ def class_record(m: BiadjacencyMatrix, cache: GammaCache | None = None,
     key = key if key is not None else canonical_key(m)
     bg = to_graph(m)
     gamma = gamma_value(bg.graph, cache)
-    conj = conjectured_kreg_bound(n, k)
-    order = kreg_order_bound(n, k) if n > max(k, 1) else None
-    findings: list[Finding] = []
-
-    if n == 1:
-        case = "other"
-    elif n <= k + 1:
-        case = "gamma2"
-        if gamma != 2:
-            findings.append(Finding("classification", key,
-                                    {"case": case, "gamma": gamma, "expected": 2}))
-    elif n == k + 2:
-        structure = _twin_structure(m)
-        unique = is_unique_form(m)
-        if structure == "gamma4":
-            case = "gamma4-unique-form"
-            if gamma != 4:
-                findings.append(Finding("classification", key,
-                                        {"case": case, "gamma": gamma, "expected": 4}))
-            if not unique:
-                findings.append(Finding("unique-form", key,
-                                        {"detail": "gamma4 structure without twin tiling"}))
-        else:
-            case = "gamma3"
-            if gamma != 3:
-                findings.append(Finding("classification", key,
-                                        {"case": case, "gamma": gamma, "expected": 3}))
-            if unique:
-                findings.append(Finding("unique-form", key,
-                                        {"detail": "twin tiling classified gamma3"}))
-    else:
-        case = "other"
-
-    if gamma > conj:
-        findings.append(Finding("conjecture-bound", key,
-                                {"gamma": gamma, "bound": conj}))
-    if order is not None and gamma > order:
-        findings.append(Finding("order-bound", key,
-                                {"gamma": gamma, "bound": order}))
-
-    record = ScanRecord(key, n, k, gamma, conj, order, case,
-                        is_connected(bg.graph))
-    return record, findings
+    record = ScanRecord(key, n, k, gamma, conjectured_kreg_bound(n, k),
+                        kreg_order_bound(n, k) if n > max(k, 1) else None,
+                        _case(m), is_connected(bg.graph))
+    return record, record_findings(m, record.to_json())
 
 
 def scan_conjecture(n: int, k: int, cache: GammaCache | None = None,
@@ -416,7 +443,7 @@ def scan_conjecture(n: int, k: int, cache: GammaCache | None = None,
     records: list[ScanRecord] = []
     findings: list[Finding] = []
     for m in enumerate_kreg(n, k, allow_large=allow_large):
-        record, found = class_record(m, cache)
+        record, found = class_record(m, cache, key=encode_key(n, k, m.rows))
         records.append(record)
         findings.extend(found)
     records.sort(key=lambda r: r.key)

@@ -1,11 +1,19 @@
 """Command-line surface: formats, exit statuses, env overrides, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from domdensity import emit_graph6, star
-from domdensity.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, load_graph_text, main
+from domdensity.cli import (
+    EXIT_CAPACITY,
+    EXIT_FINDING,
+    EXIT_INPUT,
+    EXIT_OK,
+    load_graph_text,
+    main,
+)
 from conftest import RANK6_ROWS
 
 
@@ -125,6 +133,55 @@ class TestScan:
         # resume adds only a fresh summary, no duplicate class records
         assert len([r for r in second if "key" in r]) == \
                len([r for r in first if "key" in r])
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_resume_rejects_non_json_format(self, tmp_path, capsys, fmt):
+        out = tmp_path / "scan.out"
+        argv = ["scan", "4", "2", "--format", fmt, "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        before = out.read_text()
+        assert main(argv + ["--resume"]) == EXIT_INPUT
+        assert "--resume" in capsys.readouterr().err
+        assert out.read_text() == before
+
+    def test_resume_needs_output(self, capsys):
+        assert main(["scan", "4", "2", "--format", "json", "--resume"]) == EXIT_INPUT
+        assert "--output" in capsys.readouterr().err
+
+    def test_resume_rejects_incomplete_record(self, tmp_path, capsys):
+        out = tmp_path / "scan.jsonl"
+        out.write_text('{"key": "4.2.3399", "gamma": 2}\n')
+        assert main(["scan", "4", "2", "--format", "json", "--output",
+                     str(out), "--resume"]) == EXIT_INPUT
+        assert "lacks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,k,status", [(4, 1, EXIT_FINDING), (6, 3, EXIT_OK)])
+    @pytest.mark.parametrize("cut", ["complete", "first-record", "torn-line"])
+    def test_resume_matches_uninterrupted_scan(self, tmp_path, capsys,
+                                               n, k, status, cut):
+        argv = ["scan", str(n), str(k), "--format", "json", "--output"]
+        full = tmp_path / "full.jsonl"
+        assert main(argv + [str(full)]) == status
+        text = full.read_text()
+        lines = text.splitlines(keepends=True)
+        end = {"complete": len(text), "first-record": len(lines[0]),
+               "torn-line": len(lines[0]) + 30}[cut]
+        part = tmp_path / "part.jsonl"
+        part.write_text(text[:end])
+        assert main(argv + [str(part), "--resume"]) == status
+        resumed = part.read_text().splitlines(keepends=True)
+        assert json.loads(resumed[-1]) == json.loads(lines[-1])
+        assert [ln for ln in resumed if '"key"' in ln] == \
+               [ln for ln in lines if '"key"' in ln]
+
+    def test_scan_8_6_allow_large(self, capsys):
+        assert main(["scan", "8", "6", "--allow-large", "--format", "json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        summary = json.loads(out.splitlines()[-1])
+        assert summary["classes"] == 7 and summary["findings"] == 0
+        # the output of the generator that keyed every row-sorted matrix
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+               "89eae5c5b4ce611a417e78f8655e7e561b2c88682e9afaa007458e35fd47029b"
 
     def test_scan_jobs_matches_serial(self, capsys):
         assert main(["scan", "4", "2", "--format", "json"]) == EXIT_OK

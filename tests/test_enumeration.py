@@ -1,6 +1,7 @@
 """k-regular bipartite enumeration: completeness against an independent
 orbit quotient, canonical keys, classification, and the scan driver."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -24,7 +25,43 @@ from domdensity import (
     to_graph,
     unique_form_matrix,
 )
+from domdensity.enumeration import encode_key
 from conftest import BLOCK6_ROWS, RANK6_ROWS
+
+# (n, k) -> (class count, sha256 of the sorted canonical keys joined by
+# newlines), taken from the generator that canonically keyed every
+# row-sorted matrix and kept the first of each key.
+PINNED_CLASSES = {
+    (1, 1): (1, "c5752c93158aa0bc87f4665057b3d30a36b996345fc4250a69368f3ce46277ce"),
+    (2, 1): (1, "86d823ee18a160103c9b2de0f95d9cd6d0cc7ae9fab221f447cc8ca0b91d5168"),
+    (2, 2): (1, "3f962b36b345273925f9d7514d8c249aae33ac4ff9a419da85303abab3bde36f"),
+    (3, 1): (1, "c4598f5a40848e1a7e610ccd8230e07fe4de2e0680d699e8cb71896b6c9b3b5f"),
+    (3, 2): (1, "653bd95e28fb7bbf9e38a9866c1a0efc0b2b2d95f84d7d344be28ddd6696d166"),
+    (3, 3): (1, "e1366526be361f15028bf00e78a8b297936b801278f1d3d03b674f62afeb2730"),
+    (4, 1): (1, "3dc9cca76d81f5e32b1e13a76ed4a6443a0256af2a2ef2cad7c1f41323c5453a"),
+    (4, 2): (2, "cc1f12add2eadf2516e59b908f97a6bcc5fdea1cb47ddeb820149e40334e2902"),
+    (4, 3): (1, "77fba0737e59a34bca4beb36dae4f72c3d3c2212dd6c374def66f4bedc42de07"),
+    (4, 4): (1, "e8fc62553ff921d2188b724f7f2e148356071b86cd0b27a7f4132923ba53cafb"),
+    (5, 1): (1, "d4286ec8fb09945a6d113517df7d9f5ca9fa955d3584c75d8afb5605347e6ae5"),
+    (5, 2): (2, "da584fd1a5446b54a03637ff7a7b47fc423a61570f6a3124bd2dcde486e03865"),
+    (5, 3): (2, "86077b78de018bd961e1f07158bd761ee7ce06ae5a5851096ac57b5233b35f05"),
+    (5, 4): (1, "8df1d306517101fc07113261a28d653b42e3eabb646cb04de8252b7cbd152dd3"),
+    (5, 5): (1, "be735a53dd8b41d7c7acbf99d07b8a21f0c3c200165a17978bbd60f9e3bbde89"),
+    (6, 1): (1, "09c77224e19fbf6bd427e42fe1ee809d6572a24ecb5667af0774329dc6e62b0d"),
+    (6, 2): (4, "d3554288e987418045061960ef91223afe00097f60edaff970b84d780d18c95a"),
+    (6, 3): (7, "111cfec252ee6452a253eaffbe8b2bf2f2ace7ba07d0e488a3c0869230cc71a2"),
+    (6, 4): (4, "189c678bedb6ba4f7b43af0248daa583e8de644532cc8ca51d09524106b2f2ba"),
+    (6, 5): (1, "02403afd6465697d3b87102ab4700eafeb56d21df7758b52f04a7310cb3165ed"),
+    (6, 6): (1, "273691739ebc53fa41d34dd99187b331a87b08f7b7f901273614a93dc760a520"),
+    (7, 1): (1, "4bebce252c1f67d06a3a0bdefea3ba28f86782e6d8d16795e1cfcca6872184ab"),
+    (7, 2): (4, "1e78486c2245ef1323b127aee611ecaa1703c1d0ba9b6e3461eeb15f29143e78"),
+    (7, 3): (16, "8bf1409d9e0d3875ed0daa407023d9fb121343218b1b4ef0f8288889a587ad71"),
+    (7, 4): (16, "c58499bb3d7396cb214f8a108ace727b6bbfad26553a68c6c023c1ccb127fa10"),
+    (7, 5): (4, "7a74ad490cf195f65414164cb2e08342fe695ea9c9fa07a40fa954c54a0636a9"),
+    (7, 6): (1, "0b257c0de7908bad8053658c5c4cbfb0159b312211132cb98e3e4888e585f990"),
+    (7, 7): (1, "4484aed9b5d6272960c0434a62ee44ee68ac5dc0ac59945485a7d4ec446fabca"),
+    (8, 6): (7, "64e37d4eb1fac22a87a3b6e854c9576aa1a1d00f5cef32aae779dcddd968e933"),
+}
 
 
 def _orbit_class_count(n: int, k: int) -> int:
@@ -179,6 +216,19 @@ class TestEnumerate:
         with pytest.raises(CapacityError):
             list(enumerate_kreg(8, 6))
         assert len(list(enumerate_kreg(8, 8, allow_large=True))) == 1
+
+    @pytest.mark.parametrize("n,k", sorted(PINNED_CLASSES))
+    def test_representatives_are_column_ordered_and_pinned(self, n, k):
+        classes = list(enumerate_kreg(n, k, allow_large=n == 8))
+        assert [m.rows for m in classes] == sorted(m.rows for m in classes)
+        for m in classes:
+            # columns read with row 0 as the most significant bit
+            cols = [tuple(m.entry(i, j) for i in range(n)) for j in range(n)]
+            assert all(a >= b for a, b in zip(cols, cols[1:])), m.rows
+            assert canonical_key(m) == encode_key(n, k, m.rows)
+        keys = sorted(canonical_key(m) for m in classes)
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert (len(keys), digest) == PINNED_CLASSES[(n, k)]
 
     def test_worked_example_class_is_enumerated(self, rank6_matrix):
         keys = {canonical_key(m) for m in enumerate_kreg(6, 3)}
