@@ -35,7 +35,6 @@ from .enumeration import (
     ScanReport,
     canonical_key,
     class_record,
-    classify_k_plus_2,
     enumerate_kreg,
     is_unique_form,
     parse_biadjacency,

@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from .criteria import (
@@ -31,10 +32,8 @@ from .criteria import (
     threshold_condition,
 )
 from .density import density_vizing_check, rho
-from .domination import GammaCache, check_vizing, gamma_exact
+from .domination import GammaCache, _complete_lines, check_vizing, gamma_exact
 from .enumeration import (
-    BiadjacencyMatrix,
-    Finding,
     ScanRecord,
     canonical_key,  # noqa: F401  (kept in this namespace; bench/tracing.py wraps it here)
     class_record,
@@ -49,12 +48,12 @@ from .graphs import (
     DEFAULT_MAX_PRODUCT_VERTICES,
     Graph,
     bipartition,
+    graph_key,
     is_connected,
     max_degree,
     parse_edge_list,
     parse_graph6,
 )
-from .rankcheck import ObstructionReport, obstruction_report
 from .transform import constructive_inequality_check, iterate_leaves
 
 ENV_PREFIX = "DOMDENSITY_"
@@ -197,7 +196,7 @@ def cmd_check_vizing(args) -> int:
     h = _load_graph(args.h, args.input_format)
     cache = GammaCache(args.cache) if args.cache else None
     report = check_vizing(g, h, cache, args.max_vertices)
-    density_ok = density_vizing_check(g, h, cache, args.max_vertices)
+    density_ok = density_vizing_check(g, h, report)
 
     criteria: list[dict] = []
     bg, bh = bipartition(g), bipartition(h)
@@ -260,45 +259,19 @@ def cmd_check_vizing(args) -> int:
 
 
 # Fields every class record of a scan output carries.
-SCAN_RECORD_FIELDS = [f.name for f in fields(ScanRecord) + fields(ObstructionReport)]
-
-
-def _evaluate_class(m: BiadjacencyMatrix, key: str, cache=None) -> dict:
-    record, _ = class_record(m, cache, key=key)
-    return {**record.to_json(), **obstruction_report(m).to_json()}
-
-
-def _scan_worker(payload):
-    n, k, rows, key = payload
-    return _evaluate_class(BiadjacencyMatrix(n, k, rows), key)
-
-
-def _class_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
-    """Findings of one class, rebuilt from its scan output record."""
-    findings = record_findings(m, record)
-    if record["full_rank"] and record["cover_exists"]:
-        detail = {"rank": record["rank"], "m_rows": record["m_rows"]}
-        if record["k"] == 1:
-            detail["note"] = ("degenerate 1-regular family: the"
-                              " obstruction argument needs k >= 2")
-        findings.append(Finding("obstruction", record["key"], detail))
-    return findings
+SCAN_RECORD_FIELDS = [f.name for f in fields(ScanRecord)]
 
 
 def _scanned_records(path: str) -> dict[str, dict]:
     """Class records already written to a JSON-lines scan output, by key.
 
-    A final line without its newline is the torn write of a killed run; it
-    is cut off the file, so the resumed run scans that class again and
-    appends its record on a line of its own.
+    A torn final line is cut off the file, so the resumed run scans that
+    class again and appends its record on a line of its own.
     """
     try:
-        data = Path(path).read_bytes()
+        complete = _complete_lines(path)
     except FileNotFoundError:
         return {}
-    complete = data[:data.rfind(b"\n") + 1]
-    if len(complete) < len(data):
-        os.truncate(path, len(complete))
     records = {}
     for line in complete.decode(errors="replace").splitlines():
         try:
@@ -321,23 +294,28 @@ def cmd_scan(args) -> int:
     cache = GammaCache(args.cache) if args.cache else None
     out = open(args.output, "a" if args.resume else "w") if args.output else sys.stdout
     try:
+        # enumerate_kreg yields the representatives in key order
         classes = [(m, encode_key(m.n, m.k, m.rows))
                    for m in enumerate_kreg(args.n, args.k, args.allow_large)]
-        classes.sort(key=lambda t: t[1])
         todo = [(m, key) for m, key in classes if key not in done]
         if args.jobs > 1:
-            payloads = [(args.n, args.k, m.rows, key) for m, key in todo]
+            # Workers get no cache; the parent alone writes it, in key order.
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_scan_worker, payloads))
+                evaluated = list(pool.map(class_record, [m for m, _ in todo],
+                                          repeat(None), [key for _, key in todo]))
+            if cache is not None:
+                for (m, _), (record, _) in zip(todo, evaluated):
+                    cache.put(graph_key(to_graph(m).graph), record.gamma)
         else:
-            records = [_evaluate_class(m, key, cache) for m, key in todo]
+            evaluated = [class_record(m, cache, key) for m, key in todo]
+        records = [record.to_json() for record, _ in evaluated]
 
         # The summary and the exit status cover the whole cell: records a
         # resumed run found in --output count as if scanned now.
         scanned = {**done, **{r["key"]: r for r in records}}
         cell = [scanned[key] for _, key in classes]
         all_findings = [f for m, key in classes
-                        for f in _class_findings(m, scanned[key])]
+                        for f in record_findings(m, scanned[key])]
         summary = {
             "type": "summary",
             "n": args.n,

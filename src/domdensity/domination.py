@@ -16,6 +16,7 @@ optimum.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -258,18 +259,34 @@ def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None,
     )
 
 
+def _complete_lines(path: str | Path) -> bytes:
+    """The contents of an append-only log up to its last newline.
+
+    A final line without its newline is the torn write of a killed run; it
+    is cut off the file, so the next append starts a line of its own.
+    """
+    data = Path(path).read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        os.truncate(path, end)
+    return data[:end]
+
+
 class GammaCache:
     """Persistent gamma cache: an append-only text log of "key value" lines.
 
     The whole log is reloaded at startup; writes go through a single writer
-    (this object) and are flushed immediately so scans can be resumed.
+    (this object) and are flushed immediately so scans can be resumed.  A
+    torn final line is dropped (a torn "key 12" may read "key 1"); any other
+    malformed line is rejected.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._values: dict[str, int] = {}
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
-            for lineno, line in enumerate(self._path.read_text().splitlines(), 1):
+            lines = _complete_lines(self._path).decode().splitlines()
+            for lineno, line in enumerate(lines, 1):
                 line = line.strip()
                 if not line:
                     continue

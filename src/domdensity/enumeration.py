@@ -9,22 +9,29 @@ column-sum feasibility pruning, and keeps the columns nonincreasing when
 read with row 0 as the most significant bit.  That is row and column lex
 symmetry breaking (Flener et al., CP 2002, "Breaking row and column
 symmetries in matrix models"); every class has such a doubly-lexical
-member (Lubiw 1987, "Doubly lexical orderings of matrices").  A scan
-compares every class against the conjectured bound 2*ceil(n/k) and the
-order bound 2r, classifies the n = k + 2 structure, and reports
-violations as findings instead of asserting them away.
+member (Lubiw 1987, "Doubly lexical orderings of matrices").
+
+This module is the one place a class is evaluated.  ``class_record``
+gives its complete scan record: exact gamma, the conjectured bound
+2*ceil(n/k), the order bound 2r, the n = k + 2 structure tag, and the
+rank/cover obstruction report.  ``record_findings`` reads every finding
+off such a record, so a fresh evaluation and a record stored by an earlier
+run report the same findings.  ``scan_conjecture`` and every path of the
+``scan`` command go through these two; violations become findings
+instead of being asserted away.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Iterator
 
 from .criteria import conjectured_kreg_bound, kreg_order_bound
 from .domination import GammaCache, gamma_value
-from .errors import CapacityError, FindingError, ParseError, PreconditionError
+from .errors import CapacityError, ParseError, PreconditionError
 from .graphs import BipartiteGraph, Graph, is_connected
+from .rankcheck import obstruction_report
 
 SCAN_CAP = 7
 SCAN_CAP_LARGE = 8
@@ -269,26 +276,6 @@ def _twin_structure(m: BiadjacencyMatrix) -> str:
     return "gamma4"
 
 
-def classify_k_plus_2(m: BiadjacencyMatrix, cache: GammaCache | None = None) -> str:
-    """Classify an n = k + 2 instance and cross-check gamma.
-
-    Returns "gamma4-form" when every row's pair of non-neighbours have equal
-    neighbourhoods (then gamma must be 4), "gamma3-form" otherwise (gamma
-    must be 3).  A mismatch with the exact solver is raised as a finding.
-    """
-    if m.n != m.k + 2:
-        raise PreconditionError("classification applies only at n = k + 2")
-    structure = _twin_structure(m)
-    expected = 4 if structure == "gamma4" else 3
-    gamma = gamma_value(to_graph(m).graph, cache)
-    if gamma != expected:
-        raise FindingError(
-            f"n=k+2 classification expected gamma {expected}, solver found {gamma}",
-            record={"key": canonical_key(m), "expected": expected, "gamma": gamma},
-        )
-    return "gamma4-form" if structure == "gamma4" else "gamma3-form"
-
-
 def is_unique_form(m: BiadjacencyMatrix) -> bool:
     """True iff some row/column permutation yields all ones minus disjoint
     2x2 zero blocks.
@@ -327,6 +314,10 @@ def is_unique_form(m: BiadjacencyMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ScanRecord:
+    """Everything a scan knows about one class: its key, gamma, both
+    bounds, structure tag and connectivity, then the fields of its
+    ``rankcheck.ObstructionReport``."""
+
     key: str
     n: int
     k: int
@@ -335,18 +326,17 @@ class ScanRecord:
     order_bound: int | None
     case: str
     connected: bool
+    rank: int
+    full_rank: bool
+    m_rows: int
+    m_integral: bool
+    cover_exists: bool
+    cover_witness: tuple[int, ...] | None
 
     def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "n": self.n,
-            "k": self.k,
-            "gamma": self.gamma,
-            "conj_bound": self.conj_bound,
-            "order_bound": self.order_bound,
-            "case": self.case,
-            "connected": self.connected,
-        }
+        record = asdict(self)
+        record["cover_witness"] = list(self.cover_witness) if self.cover_witness else None
+        return record
 
 
 @dataclass
@@ -401,7 +391,7 @@ _CASE_GAMMA = {"gamma2": 2, "gamma3": 3, "gamma4-unique-form": 4}
 def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
     """Every finding of class ``m``, read off its record (the fields of
     ``ScanRecord.to_json``), so a stored record gives the same findings as
-    a fresh evaluation."""
+    a fresh evaluation.  The obstruction finding comes last."""
     key, gamma, case = record["key"], record["gamma"], record["case"]
     findings: list[Finding] = []
     expected = _CASE_GAMMA.get(case)
@@ -421,30 +411,40 @@ def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
     if order is not None and gamma > order:
         findings.append(Finding("order-bound", key,
                                 {"gamma": gamma, "bound": order}))
+    if record["full_rank"] and record["cover_exists"]:
+        detail = {"rank": record["rank"], "m_rows": record["m_rows"]}
+        if record["k"] == 1:
+            detail["note"] = ("degenerate 1-regular family: the"
+                              " obstruction argument needs k >= 2")
+        findings.append(Finding("obstruction", key, detail))
     return findings
 
 
 def class_record(m: BiadjacencyMatrix, cache: GammaCache | None = None,
                  key: str | None = None) -> tuple[ScanRecord, list[Finding]]:
-    """Evaluate one class: exact gamma, both bounds, structure tag, findings."""
+    """Evaluate one class: its complete record and its findings."""
     n, k = m.n, m.k
     key = key if key is not None else canonical_key(m)
     bg = to_graph(m)
     gamma = gamma_value(bg.graph, cache)
     record = ScanRecord(key, n, k, gamma, conjectured_kreg_bound(n, k),
                         kreg_order_bound(n, k) if n > max(k, 1) else None,
-                        _case(m), is_connected(bg.graph))
+                        _case(m), is_connected(bg.graph),
+                        **asdict(obstruction_report(m)))
     return record, record_findings(m, record.to_json())
 
 
 def scan_conjecture(n: int, k: int, cache: GammaCache | None = None,
                     allow_large: bool = False) -> ScanReport:
-    """Scan every class at (n, k); violations become findings, never asserts."""
+    """Scan every class at (n, k); violations become findings, never asserts.
+
+    Records come in key order, which is the order ``enumerate_kreg``
+    yields the representatives in.
+    """
     records: list[ScanRecord] = []
     findings: list[Finding] = []
     for m in enumerate_kreg(n, k, allow_large=allow_large):
         record, found = class_record(m, cache, key=encode_key(n, k, m.rows))
         records.append(record)
         findings.extend(found)
-    records.sort(key=lambda r: r.key)
     return ScanReport(n, k, records, findings)

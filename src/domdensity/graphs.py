@@ -349,17 +349,12 @@ def bipartition(g: Graph) -> BipartiteGraph | None:
 
 @dataclass(frozen=True)
 class LabeledProduct:
-    """Cartesian product with the (g, h) -> vertex bijection kept explicit."""
+    """Cartesian product with its factor orders; vertex (a, b) is
+    a * h_order + b."""
 
     graph: Graph
     g_order: int
     h_order: int
-
-    def index(self, a: int, b: int) -> int:
-        return a * self.h_order + b
-
-    def factors(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.h_order)
 
 
 def cartesian_product(g: Graph, h: Graph,
@@ -457,8 +452,3 @@ def canonical_form(g: Graph) -> tuple[int, int]:
             best = key
     return g.n, best if best is not None else 0
 
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    return canonical_form(g) == canonical_form(h)

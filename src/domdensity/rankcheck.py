@@ -17,9 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import TYPE_CHECKING
 
-from .enumeration import BiadjacencyMatrix
 from .errors import PreconditionError
+
+if TYPE_CHECKING:  # enumeration imports this module
+    from .enumeration import BiadjacencyMatrix
 
 
 @dataclass(frozen=True)
@@ -160,16 +163,6 @@ class ObstructionReport:
     @property
     def implication_holds(self) -> bool:
         return not (self.full_rank and self.cover_exists)
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "full_rank": self.full_rank,
-            "m_rows": self.m_rows,
-            "m_integral": self.m_integral,
-            "cover_exists": self.cover_exists,
-            "cover_witness": list(self.cover_witness) if self.cover_witness else None,
-        }
 
 
 def obstruction_report(m: BiadjacencyMatrix) -> ObstructionReport:

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from domdensity import emit_graph6, star
+from domdensity import emit_graph6, scan_conjecture, star
+from domdensity.domination import _Search
 from domdensity.cli import (
     EXIT_CAPACITY,
     EXIT_FINDING,
@@ -97,6 +98,19 @@ class TestCheckVizing:
         assert imbalance["satisfied"] is True
         assert imbalance["lhs"] == "100/1" and imbalance["rhs"] == "19/1"
 
+    def test_one_value_search_per_graph(self, c4_file, capsys, monkeypatch):
+        calls = []
+        original = _Search.minimum_size
+
+        def counted(search, seed):
+            calls.append(search.n)
+            return original(search, seed)
+
+        monkeypatch.setattr(_Search, "minimum_size", counted)
+        assert main(["check-vizing", c4_file, c4_file, "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["density_form_holds"] is True
+        assert sorted(calls) == [4, 4, 16]
+
     def test_capacity_exit_3(self, tmp_path, capsys):
         big = tmp_path / "big.g6"
         big.write_text(emit_graph6(star(80)) + "\n")
@@ -183,14 +197,20 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == \
                "89eae5c5b4ce611a417e78f8655e7e561b2c88682e9afaa007458e35fd47029b"
 
-    def test_scan_jobs_matches_serial(self, capsys):
-        assert main(["scan", "4", "2", "--format", "json"]) == EXIT_OK
+    def test_scan_jobs_matches_serial(self, tmp_path, capsys):
+        argv = ["scan", "4", "2", "--format", "json", "--cache"]
+        assert main(argv + [str(tmp_path / "B")]) == EXIT_OK
         serial = capsys.readouterr().out
-        assert main(["scan", "4", "2", "--format", "json", "--jobs", "2"]) == EXIT_OK
-        parallel = capsys.readouterr().out
-        serial_rows = [json.loads(ln) for ln in serial.splitlines() if "key" in ln]
-        parallel_rows = [json.loads(ln) for ln in parallel.splitlines() if "key" in ln]
-        assert serial_rows == parallel_rows
+        assert main(argv + [str(tmp_path / "A"), "--jobs", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == serial
+        assert (tmp_path / "A").read_bytes() == (tmp_path / "B").read_bytes() != b""
+
+    def test_library_scan_reports_the_cli_findings(self, capsys):
+        assert main(["scan", "4", "1", "--format", "json"]) == EXIT_FINDING
+        err = capsys.readouterr().err.splitlines()
+        expected = [f"FINDING: {json.dumps(f.to_json(), sort_keys=True)}"
+                    for f in scan_conjecture(4, 1).findings]
+        assert err == expected and len(expected) == 1
 
     def test_scan_csv(self, capsys):
         assert main(["scan", "3", "2", "--format", "csv"]) == EXIT_OK

@@ -1,6 +1,7 @@
 """Exact density arithmetic and its equivalence with the integer form."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -54,8 +55,12 @@ def test_rho_small_cases(rank6_matrix):
 
 def test_density_check_trivial_pairs():
     k2 = complete_bipartite(1, 1)
-    assert density_vizing_check(k2, k2)
-    assert density_vizing_check(cycle_graph(4), cycle_graph(4))
+    assert density_vizing_check(k2, k2, check_vizing(k2, k2))
+    c4 = cycle_graph(4)
+    report = check_vizing(c4, c4)
+    assert density_vizing_check(c4, c4, report)
+    # 3/16 < (2/4)(2/4): the form reads the report, not the graphs
+    assert not density_vizing_check(c4, c4, replace(report, gamma_product=3))
 
 
 def test_density_form_equals_integer_form():
@@ -63,7 +68,8 @@ def test_density_form_equals_integer_form():
     pool = [g for n in range(1, 5) for g in connected_graphs(n)]
     for _ in range(60):
         g, h = rng.choice(pool), rng.choice(pool)
-        assert density_vizing_check(g, h) == check_vizing(g, h).holds
+        report = check_vizing(g, h)
+        assert density_vizing_check(g, h, report) == report.holds
 
 
 def test_rho_invariant_under_duplication():

@@ -189,6 +189,19 @@ class TestGammaCache:
         with pytest.raises(ValueError):
             GammaCache(path)
 
+    def test_torn_final_line_dropped(self, tmp_path):
+        path = tmp_path / "gamma.cache"
+        path.write_text("Cl 2\nCl")
+        cache = GammaCache(path)
+        assert len(cache) == 1 and cache.get("Cl") == 2
+        # a torn "Cm 12" must not read as gamma 1
+        path.write_text("Cl 2\nCm 1")
+        cache = GammaCache(path)
+        assert cache.get("Cm") is None and len(cache) == 1
+        cache.put("Cm", 12)
+        assert path.read_text() == "Cl 2\nCm 12\n"
+        assert GammaCache(path).get("Cm") == 12
+
     def test_in_memory_mode(self):
         cache = GammaCache()
         assert gamma_value(star(4), cache) == 1

@@ -10,12 +10,11 @@ import pytest
 from domdensity import (
     BiadjacencyMatrix,
     CapacityError,
-    FindingError,
     ParseError,
     PreconditionError,
     bipartition,
     canonical_key,
-    classify_k_plus_2,
+    class_record,
     enumerate_kreg,
     gamma_brute,
     gamma_value,
@@ -25,7 +24,7 @@ from domdensity import (
     to_graph,
     unique_form_matrix,
 )
-from domdensity.enumeration import encode_key
+from domdensity.enumeration import encode_key, record_findings
 from conftest import BLOCK6_ROWS, RANK6_ROWS
 
 # (n, k) -> (class count, sha256 of the sorted canonical keys joined by
@@ -237,18 +236,22 @@ class TestEnumerate:
 
 class TestKPlus2Structure:
     def test_block_form_classifies_gamma4(self, block6_matrix):
-        assert classify_k_plus_2(block6_matrix) == "gamma4-form"
+        record, findings = class_record(block6_matrix)
+        assert record.case == "gamma4-unique-form" and record.gamma == 4
+        assert findings == []
         assert is_unique_form(block6_matrix)
 
     def test_5_3_classes_are_gamma3(self):
         for m in enumerate_kreg(5, 3):
-            assert classify_k_plus_2(m) == "gamma3-form"
+            record, findings = class_record(m)
+            assert record.case == "gamma3" and record.gamma == 3
+            assert findings == []
             assert gamma_brute(to_graph(m).graph) == 3
             assert not is_unique_form(m)
 
-    def test_precondition(self, rank6_matrix):
-        with pytest.raises(PreconditionError):
-            classify_k_plus_2(rank6_matrix)
+    def test_case_is_other_off_the_shape(self, rank6_matrix):
+        # n = 6 is neither k + 1 nor k + 2 for k = 3
+        assert class_record(rank6_matrix)[0].case == "other"
 
     def test_unique_form_false_outside_shape(self, rank6_matrix):
         assert not is_unique_form(rank6_matrix)  # n is not k + 2
@@ -257,7 +260,9 @@ class TestKPlus2Structure:
     def test_unique_form_at_8(self):
         m = unique_form_matrix(8)
         assert is_unique_form(m)
-        assert classify_k_plus_2(m) == "gamma4-form"
+        record, findings = class_record(m)
+        assert record.case == "gamma4-unique-form" and record.gamma == 4
+        assert findings == []
 
 
 class TestScan:
@@ -288,7 +293,9 @@ class TestScan:
         report = scan_conjecture(4, 2)
         payload = report.records[0].to_json()
         assert list(payload) == ["key", "n", "k", "gamma", "conj_bound",
-                                 "order_bound", "case", "connected"]
+                                 "order_bound", "case", "connected",
+                                 "rank", "full_rank", "m_rows", "m_integral",
+                                 "cover_exists", "cover_witness"]
 
     def test_order_bound_none_at_n_equals_k(self):
         report = scan_conjecture(3, 3)
@@ -300,8 +307,12 @@ class TestScan:
         assert [r.key for r in a.records] == sorted(r.key for r in a.records)
         assert a.records == b.records
 
-    def test_finding_raised_on_forced_misclassification(self, block6_matrix):
-        # classify_k_plus_2 must cross-check gamma; feeding it a lie about
-        # the solver is impossible, so check the raising path via a stub
-        with pytest.raises(FindingError):
-            raise FindingError("synthetic", record={"x": 1})
+    def test_record_findings_reports_misclassification(self, block6_matrix):
+        # the solver cannot be made to lie, so hand record_findings a record
+        # whose gamma contradicts its case
+        record = class_record(block6_matrix)[0].to_json()
+        assert record["case"] == "gamma4-unique-form"
+        findings = record_findings(block6_matrix, {**record, "gamma": 3})
+        assert [(f.kind, f.key, f.detail) for f in findings] == [
+            ("classification", record["key"],
+             {"case": "gamma4-unique-form", "gamma": 3, "expected": 4})]

@@ -278,10 +278,14 @@ class TestProducts:
             assert max_degree(prod.graph) == expected
 
     def test_index_bijection(self):
-        prod = cartesian_product(path_graph(3), path_graph(4))
+        # vertex (a, b) is a * h.n + b
+        g, h = path_graph(3), path_graph(4)
+        prod = cartesian_product(g, h)
+        assert (prod.g_order, prod.h_order) == (3, 4)
         for a in range(3):
             for b in range(4):
-                assert prod.factors(prod.index(a, b)) == (a, b)
+                assert divmod(a * h.n + b, h.n) == (a, b)
+                assert prod.graph.degree(a * h.n + b) == g.degree(a) + h.degree(b)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -297,11 +301,11 @@ class TestProducts:
             gh = cartesian_product(g, h)
             hg = cartesian_product(h, g)
             for u in range(gh.graph.n):
-                a, b = gh.factors(u)
+                a, b = divmod(u, h.n)
                 for v in range(u + 1, gh.graph.n):
-                    c, d = gh.factors(v)
+                    c, d = divmod(v, h.n)
                     assert gh.graph.has_edge(u, v) == hg.graph.has_edge(
-                        hg.index(b, a), hg.index(d, c))
+                        b * g.n + a, d * g.n + c)
             if gh.graph.n <= 10:
                 assert canonical_form(gh.graph) == canonical_form(hg.graph)
 
