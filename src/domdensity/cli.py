@@ -299,13 +299,23 @@ def cmd_scan(args) -> int:
                    for m in enumerate_kreg(args.n, args.k, args.allow_large)]
         todo = [(m, key) for m, key in classes if key not in done]
         if args.jobs > 1:
-            # Workers get no cache; the parent alone writes it, in key order.
+            # Workers get no cache.  The parent alone reads it and writes it,
+            # in key order: a class whose graph is cached is evaluated here,
+            # as a serial run does, and only the misses go to the workers.
+            misses = [(m, key) for m, key in todo if cache is None
+                      or cache.get(graph_key(to_graph(m).graph)) is None]
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                evaluated = list(pool.map(class_record, [m for m, _ in todo],
-                                          repeat(None), [key for _, key in todo]))
-            if cache is not None:
-                for (m, _), (record, _) in zip(todo, evaluated):
-                    cache.put(graph_key(to_graph(m).graph), record.gamma)
+                solved = dict(zip([key for _, key in misses], pool.map(
+                    class_record, [m for m, _ in misses], repeat(None),
+                    [key for _, key in misses])))
+            evaluated = []
+            for m, key in todo:
+                if key in solved:
+                    if cache is not None:
+                        cache.put(graph_key(to_graph(m).graph), solved[key][0].gamma)
+                    evaluated.append(solved[key])
+                else:
+                    evaluated.append(class_record(m, cache, key))
         else:
             evaluated = [class_record(m, cache, key) for m, key in todo]
         records = [record.to_json() for record, _ in evaluated]

@@ -4,9 +4,17 @@
 covering: vertices are preferred in descending-degree order (ties by index),
 the incumbent is seeded by a greedy max-coverage pass, and branches are cut
 by two admissible lower bounds, ceil(uncovered / (max degree + 1)) and a
-greedily built 2-packing of the uncovered region.  ``gamma_brute`` is the
-independent oracle: plain subset enumeration in increasing size order, kept
-free of the solver's pruning machinery.
+greedily built 2-packing of the uncovered region.  The packing is taken in
+ascending vertex order, and packing v discards every uncovered vertex within
+distance 2 of v (precomputed as ``ball2[v]``), so it costs one step per
+packed vertex.  The branch vertex is the uncovered vertex with the fewest
+allowed dominators; a ``near`` mask, the union of the closed neighbourhoods
+of the vertices excluded so far, is carried down the search so that only
+uncovered vertices inside it are counted, since every other one keeps its
+whole closed neighbourhood.
+
+``gamma_brute`` is the independent oracle: plain subset enumeration in
+increasing size order, kept free of the solver's pruning machinery.
 
 Witnesses are deterministic: among all minimum dominating sets the one whose
 sorted vertex tuple is lexicographically smallest is reconstructed by fixing
@@ -18,7 +26,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from pathlib import Path
 
 from .errors import CapacityError, PreconditionError
@@ -93,6 +102,22 @@ class _Search:
             tuple(sorted(bit_list(self.closed[v]), key=lambda u: self.pref[u]))
             for v in range(g.n)
         ]
+        # ball2[v]: every vertex within distance 2 of v, i.e. every w whose
+        # closed neighbourhood meets closed[v].
+        self.ball2 = [0] * g.n
+        for v in range(g.n):
+            for u in bit_list(self.closed[v]):
+                self.ball2[v] |= self.closed[u]
+        # Vertices by closed-neighbourhood size, smallest size first; within
+        # one size, pref is index order.
+        sizes = {}
+        for v in range(g.n):
+            size = self.closed[v].bit_count()
+            sizes[size] = sizes.get(size, 0) | 1 << v
+        self.size_classes = sorted(sizes.items())
+        # near_prefix[v]: union of closed[u] over u <= v, the ``near`` mask
+        # of a witness step that has excluded every vertex up to v.
+        self.near_prefix = list(accumulate(self.closed, or_))
         self.best = g.n
 
     def greedy_cover(self) -> int:
@@ -115,24 +140,37 @@ class _Search:
         uncovered = self.full & ~covered
         count = uncovered.bit_count()
         lb = -(-count // self.cover_span)
+        # Greedy 2-packing in ascending order: packing v rules out every
+        # uncovered vertex within distance 2 of it.
         packing = 0
-        taken = 0
         m = uncovered
         while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            cv = self.closed[v]
-            if not cv & taken:
-                packing += 1
-                taken |= cv
+            packing += 1
+            m &= ~self.ball2[(m & -m).bit_length() - 1]
         return packing if packing > lb else lb
 
-    def _pick(self, covered: int, allowed: int) -> int:
-        """Uncovered vertex with the fewest allowed dominators (-1 if any has none)."""
+    def _pick(self, covered: int, allowed: int, near: int) -> int:
+        """Uncovered vertex with the fewest allowed dominators (-1 if any has none).
+
+        Ties go to the lower pref; the key (count, pref) is encoded as
+        count * n + pref.  ``near`` is the union of closed[u] over the
+        excluded vertices (those not in ``allowed``).  An uncovered vertex
+        outside it keeps its whole closed neighbourhood as dominators, so
+        only the ones inside are counted; among the rest the smallest
+        neighbourhood wins, and within one size the lowest index, which is
+        the lowest pref.
+        """
+        uncovered = self.full & ~covered
+        best_key = self.n * (self.n + 1)
         best_v = -1
-        best_key = None
-        m = self.full & ~covered
+        far = uncovered & ~near
+        for size, members in self.size_classes:
+            m = far & members
+            if m:
+                best_v = (m & -m).bit_length() - 1
+                best_key = size * self.n + self.pref[best_v]
+                break
+        m = uncovered & near
         while m:
             low = m & -m
             v = low.bit_length() - 1
@@ -140,44 +178,48 @@ class _Search:
             c = (self.closed[v] & allowed).bit_count()
             if c == 0:
                 return -1
-            key = (c, self.pref[v])
-            if best_key is None or key < best_key:
+            key = c * self.n + self.pref[v]
+            if key < best_key:
                 best_key, best_v = key, v
         return best_v
 
     def minimum_size(self, seed: int) -> int:
         self.best = seed.bit_count()
-        self._optimise(0, 0, self.full)
+        self._optimise(0, 0, self.full, 0)
         return self.best
 
-    def _optimise(self, count: int, covered: int, allowed: int):
+    def _optimise(self, count: int, covered: int, allowed: int, near: int):
         if covered == self.full:
             self.best = count
             return
         if count + self.lower_bound(covered) >= self.best:
             return
-        v = self._pick(covered, allowed)
+        v = self._pick(covered, allowed, near)
         if v < 0:
             return
         rest = allowed
         for u in self.cand_order[v]:
             if rest >> u & 1:
                 rest ^= 1 << u
-                self._optimise(count + 1, covered | self.closed[u], rest)
+                near |= self.closed[u]
+                self._optimise(count + 1, covered | self.closed[u], rest, near)
 
-    def feasible(self, count: int, covered: int, allowed: int, budget: int) -> bool:
+    def feasible(self, count: int, covered: int, allowed: int, near: int,
+                 budget: int) -> bool:
         if covered == self.full:
             return True
         if count + self.lower_bound(covered) > budget:
             return False
-        v = self._pick(covered, allowed)
+        v = self._pick(covered, allowed, near)
         if v < 0:
             return False
         rest = allowed
         for u in self.cand_order[v]:
             if rest >> u & 1:
                 rest ^= 1 << u
-                if self.feasible(count + 1, covered | self.closed[u], rest, budget):
+                near |= self.closed[u]
+                if self.feasible(count + 1, covered | self.closed[u], rest, near,
+                                 budget):
                     return True
         return False
 
@@ -190,7 +232,8 @@ class _Search:
             for v in range(lo, self.n):
                 grown = covered | self.closed[v]
                 allowed = self.full & ~((1 << (v + 1)) - 1)
-                if self.feasible(step + 1, grown, allowed, gamma):
+                if self.feasible(step + 1, grown, allowed, self.near_prefix[v],
+                                 gamma):
                     chosen |= 1 << v
                     covered = grown
                     lo = v + 1

@@ -364,16 +364,6 @@ class ScanReport:
     def max_gamma(self) -> int:
         return max((r.gamma for r in self.records), default=0)
 
-    def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "classes": self.class_count,
-            "max_gamma": self.max_gamma,
-            "connected_classes": sum(r.connected for r in self.records),
-            "findings": len(self.findings),
-        }
-
 
 def _case(m: BiadjacencyMatrix) -> str:
     if m.n == 1:

@@ -205,6 +205,21 @@ class TestScan:
         assert capsys.readouterr().out == serial
         assert (tmp_path / "A").read_bytes() == (tmp_path / "B").read_bytes() != b""
 
+    def test_scan_jobs_trusts_the_cache_like_serial(self, tmp_path, capsys):
+        # One cached value is wrong and the other class is a miss: --jobs
+        # must report what the serial scan reports, from the same cache.
+        argv = ["scan", "4", "2", "--format", "json", "--cache"]
+        assert main(argv + [str(tmp_path / "C")]) == EXIT_OK
+        capsys.readouterr()
+        first = (tmp_path / "C").read_text().splitlines()[0]
+        for name in "AB":
+            (tmp_path / name).write_text(first.rpartition(" ")[0] + " 9\n")
+        serial = main(argv + [str(tmp_path / "B")]), capsys.readouterr()
+        assert serial[0] == EXIT_FINDING
+        assert (main(argv + [str(tmp_path / "A"), "--jobs", "2"]),
+                capsys.readouterr()) == serial
+        assert (tmp_path / "A").read_bytes() == (tmp_path / "B").read_bytes()
+
     def test_library_scan_reports_the_cli_findings(self, capsys):
         assert main(["scan", "4", "1", "--format", "json"]) == EXIT_FINDING
         err = capsys.readouterr().err.splitlines()

@@ -2,6 +2,7 @@
 inequality check, and the persistent gamma cache."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -90,6 +91,19 @@ class TestGammaExact:
         gamma, witness = gamma_exact(cycle_graph(4))
         assert gamma == 2 and witness.members() == [0, 1]
 
+    def test_witness_is_first_minimum_set_in_combination_order(self):
+        # combinations() yields sorted tuples in lexicographic order, so the
+        # first dominating one of size gamma is the lex-min witness.
+        rng = random.Random(7)
+        graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+        graphs += [random_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.9))
+                   for _ in range(500)]
+        for g in graphs:
+            gamma, witness = gamma_exact(g)
+            masks = (sum(1 << v for v in combo)
+                     for combo in combinations(range(g.n), gamma))
+            assert witness.vertices == next(m for m in masks if is_dominating(g, m))
+
     def test_agrees_with_oracle_exhaustively_to_7(self):
         for n in range(1, 8):
             for g in all_graphs(n):
@@ -129,6 +143,33 @@ class TestGammaExact:
             k = rng.randrange(1, len(members) + 1)
             subset = sum(1 << v for v in rng.sample(members, k))
             assert gamma_value(attach_leaves(g, subset)) == gamma
+
+
+class TestKnownValues:
+    """Published domination numbers of grids and cycle products."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_narrow_grids(self, n):
+        # Jacobson & Kinch 1984
+        p2 = cartesian_product(path_graph(2), path_graph(n)).graph
+        p3 = cartesian_product(path_graph(3), path_graph(n)).graph
+        assert gamma_value(p2) == (n + 2) // 2
+        assert gamma_value(p3) == (3 * n + 4) // 4
+
+    def test_narrow_grid_against_oracle(self):
+        assert gamma_brute(cartesian_product(path_graph(3), path_graph(8)).graph) == 7
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_c4_cycle_products(self, n):
+        assert gamma_value(cartesian_product(cycle_graph(4), cycle_graph(n)).graph) == n
+
+    @pytest.mark.parametrize("g,members", [
+        (cycle_graph(7), [0, 1, 2, 11, 16, 20, 25, 28, 29, 34, 38, 47]),
+        (path_graph(8), [0, 2, 6, 12, 17, 22, 23, 27, 32, 37, 42, 47, 48, 52, 58, 62]),
+    ])
+    def test_pinned_square_witnesses(self, g, members):
+        gamma, witness = gamma_exact(cartesian_product(g, g).graph)
+        assert gamma == len(members) and witness.members() == members
 
 
 class TestCheckVizing:
