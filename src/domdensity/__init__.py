@@ -69,7 +69,6 @@ from .graphs import (
 )
 from .rankcheck import (
     ObstructionReport,
-    RationalMatrix,
     biadjacency_rank,
     complement_identity_check,
     cover_to_dominating_set,

@@ -31,11 +31,13 @@ from .criteria import (
     imbalance_criterion,
     threshold_condition,
 )
-from .density import density_vizing_check, rho
+from .density import density_vizing_check
 from .domination import GammaCache, _complete_lines, check_vizing, gamma_exact
 from .enumeration import (
     ScanRecord,
-    canonical_key,  # noqa: F401  (kept in this namespace; bench/tracing.py wraps it here)
+    # Unused here: bench/test_bench.py::test_traced_generator_and_rebinding
+    # checks that the tracer rebinds it in this namespace.
+    canonical_key,  # noqa: F401
     class_record,
     encode_key,
     enumerate_kreg,
@@ -54,7 +56,11 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .transform import constructive_inequality_check, iterate_leaves
+from .transform import (
+    constructive_inequality_check,
+    evaluate_hypothesis,
+    iterate_leaves,
+)
 
 ENV_PREFIX = "DOMDENSITY_"
 
@@ -400,16 +406,16 @@ def cmd_transform(args) -> int:
     cache = GammaCache(args.cache) if args.cache else None
     if args.h:
         h = _load_graph(args.h, args.input_format)
-        rho_h = rho(h, cache).value
         delta_h = max_degree(h)
         constructive = constructive_inequality_check(bg, h, cache, args.max_vertices)
+        hyp = constructive.hypothesis
     else:
         if args.rho_h is None or args.delta_h is None:
             raise ParseError("need either --h FILE or both --rho-h and --delta-h")
-        rho_h = Fraction(args.rho_h)
         delta_h = args.delta_h
         constructive = None
-    trace = iterate_leaves(bg, delta_h, rho_h, args.max_rounds, cache)
+        hyp = evaluate_hypothesis(bg, Fraction(args.rho_h), cache)
+    trace = iterate_leaves(bg, delta_h, hyp, args.max_rounds, cache)
     record = {"trace": trace.to_json()}
     if constructive is not None:
         record["constructive"] = constructive.to_json()

@@ -13,13 +13,19 @@ of the vertices excluded so far, is carried down the search so that only
 uncovered vertices inside it are counted, since every other one keeps its
 whole closed neighbourhood.
 
+One recursive descent serves both passes.  It cuts a branch when
+count + lower bound >= ``best``, sets ``best`` to the size of every full
+cover it reaches, and stops at the first cover of size <= ``goal``.  The
+value pass sets ``goal`` to -1 and ``best`` to the greedy cover's size, so
+it never stops early and ends with the optimum in ``best``.
+
 ``gamma_brute`` is the independent oracle: plain subset enumeration in
 increasing size order, kept free of the solver's pruning machinery.
 
 Witnesses are deterministic: among all minimum dominating sets the one whose
 sorted vertex tuple is lexicographically smallest is reconstructed by fixing
-vertices in ascending order against a feasibility search at the known
-optimum.
+vertices in ascending order, each probe a descent with ``goal`` = gamma and
+``best`` = gamma + 1 (a feasibility search at the known optimum).
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ def is_dominating(g: Graph, vertices: int) -> bool:
 
 
 class _Search:
-    """Branch-and-bound state shared by the optimisation and feasibility passes."""
+    """Branch-and-bound state shared by the value pass and the witness pass."""
 
     def __init__(self, g: Graph):
         self.n = g.n
@@ -118,6 +124,7 @@ class _Search:
         # near_prefix[v]: union of closed[u] over u <= v, the ``near`` mask
         # of a witness step that has excluded every vertex up to v.
         self.near_prefix = list(accumulate(self.closed, or_))
+        self.goal = -1
         self.best = g.n
 
     def greedy_cover(self) -> int:
@@ -184,31 +191,16 @@ class _Search:
         return best_v
 
     def minimum_size(self, seed: int) -> int:
-        self.best = seed.bit_count()
-        self._optimise(0, 0, self.full, 0)
+        self.goal, self.best = -1, seed.bit_count()
+        self._descend(0, 0, self.full, 0)
         return self.best
 
-    def _optimise(self, count: int, covered: int, allowed: int, near: int):
+    def _descend(self, count: int, covered: int, allowed: int, near: int) -> bool:
+        """Branch and bound below one node; True at a cover of size <= goal."""
         if covered == self.full:
             self.best = count
-            return
+            return count <= self.goal
         if count + self.lower_bound(covered) >= self.best:
-            return
-        v = self._pick(covered, allowed, near)
-        if v < 0:
-            return
-        rest = allowed
-        for u in self.cand_order[v]:
-            if rest >> u & 1:
-                rest ^= 1 << u
-                near |= self.closed[u]
-                self._optimise(count + 1, covered | self.closed[u], rest, near)
-
-    def feasible(self, count: int, covered: int, allowed: int, near: int,
-                 budget: int) -> bool:
-        if covered == self.full:
-            return True
-        if count + self.lower_bound(covered) > budget:
             return False
         v = self._pick(covered, allowed, near)
         if v < 0:
@@ -218,13 +210,16 @@ class _Search:
             if rest >> u & 1:
                 rest ^= 1 << u
                 near |= self.closed[u]
-                if self.feasible(count + 1, covered | self.closed[u], rest, near,
-                                 budget):
+                if self._descend(count + 1, covered | self.closed[u], rest, near):
                     return True
         return False
 
     def lexmin_witness(self, gamma: int) -> int:
-        """Smallest minimum dominating set under sorted-vertex-tuple order."""
+        """Smallest minimum dominating set under sorted-vertex-tuple order.
+
+        Raises ValueError when ``gamma`` is not the graph's domination
+        number, as a wrong cached value can make it.
+        """
         chosen = 0
         covered = 0
         lo = 0
@@ -232,17 +227,19 @@ class _Search:
             for v in range(lo, self.n):
                 grown = covered | self.closed[v]
                 allowed = self.full & ~((1 << (v + 1)) - 1)
-                if self.feasible(step + 1, grown, allowed, self.near_prefix[v],
-                                 gamma):
+                self.goal, self.best = gamma, gamma + 1
+                if self._descend(step + 1, grown, allowed, self.near_prefix[v]):
                     chosen |= 1 << v
                     covered = grown
                     lo = v + 1
                     break
             else:
-                raise AssertionError("witness reconstruction failed")
+                break  # no vertex extends to a cover of size gamma
             if covered == self.full:
                 break
-        assert covered == self.full and chosen.bit_count() == gamma
+        if covered != self.full or chosen.bit_count() != gamma:
+            raise ValueError(f"{gamma} is not this graph's domination number"
+                             " (a wrong gamma cache entry?)")
         return chosen
 
 

@@ -1,4 +1,4 @@
-"""Exact rational rank and the disjoint row-cover obstruction.
+"""Exact rank of integer matrices and the disjoint row-cover obstruction.
 
 A full-rank biadjacency matrix cannot admit an m-row disjoint covering of
 the all-ones vector: a cover would force the dependency
@@ -6,9 +6,9 @@ sum(cover rows) - (1/k) sum(all rows) = 0, whose coefficients only vanish
 when k = 1.  The obstruction is therefore a theorem for k >= 2, while every
 1-regular (permutation) matrix is full-rank with the all-rows cover; scans
 surface those as the exact degenerate exception family.  Both sides of the
-implication are computed independently here: rank by fraction-free
-elimination over the rationals, the covering by explicit backtracking
-search.  The implication is checked, never assumed.
+implication are computed independently here: the rational rank of the
+integer matrix by fraction-free elimination, the covering by explicit
+backtracking search.  The implication is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
@@ -25,54 +24,27 @@ if TYPE_CHECKING:  # enumeration imports this module
     from .enumeration import BiadjacencyMatrix
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Rectangular matrix of exact rationals."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(self.rows[0])
-        if width == 0 or any(len(r) != width for r in self.rows):
-            raise ValueError("rows must be nonempty and of equal length")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
-
-    @classmethod
-    def from_int_rows(cls, rows) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @classmethod
-    def from_bit_rows(cls, masks, width: int) -> "RationalMatrix":
-        return cls(tuple(
-            tuple(Fraction(mask >> j & 1) for j in range(width)) for mask in masks
-        ))
-
-
-def rank_exact(m: RationalMatrix) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers (rank-preserving), after which every
-    division in the elimination is exact; no floating point anywhere.
+def rank_exact(rows) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free
+    (Bareiss) elimination: every division is exact, no floating point
+    anywhere.  ``rows`` must be nonempty and of one nonzero length.
     """
-    rows, cols = m.dims
-    mat = []
-    for row in m.rows:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        mat.append([int(f * scale) for f in row])
+    mat = [list(row) for row in rows]
+    if not mat:
+        raise ValueError("matrix needs at least one row")
+    cols = len(mat[0])
+    if cols == 0 or any(len(r) != cols for r in mat):
+        raise ValueError("rows must be nonempty and of equal length")
+    n_rows = len(mat)
     rank = 0
     prev = 1
     for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if mat[i][col]), None)
+        pivot = next((i for i in range(rank, n_rows) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         lead = mat[rank][col]
-        for i in range(rank + 1, rows):
+        for i in range(rank + 1, n_rows):
             factor = mat[i][col]
             for j in range(col + 1, cols):
                 value = mat[i][j] * lead - factor * mat[rank][j]
@@ -82,13 +54,13 @@ def rank_exact(m: RationalMatrix) -> int:
             mat[i][col] = 0
         prev = lead
         rank += 1
-        if rank == rows:
+        if rank == n_rows:
             break
     return rank
 
 
 def biadjacency_rank(m: BiadjacencyMatrix) -> int:
-    return rank_exact(RationalMatrix.from_bit_rows(m.rows, m.n))
+    return rank_exact([[row >> j & 1 for j in range(m.n)] for row in m.rows])
 
 
 def complement_identity_check(m) -> bool:

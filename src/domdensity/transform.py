@@ -312,23 +312,25 @@ def _round_bound(lhs0: Fraction, rhs0: Fraction, slope_gap: Fraction) -> int:
     return ceil((rhs0 - lhs0) / slope_gap) + 1
 
 
-def iterate_leaves(bg: BipartiteGraph, h_delta: int, rho_h, max_rounds: int,
-                   cache: GammaCache | None = None) -> TransformTrace:
+def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
+                   max_rounds: int, cache: GammaCache | None = None) -> TransformTrace:
     """Attach one leaf per escalation vertex per round until the one-sided
     imbalance criterion fires (or max_rounds is hit).
 
-    The same target set S receives a leaf every round, matching the
+    ``hyp`` is ``evaluate_hypothesis`` of ``bg`` against the partner density
+    rho(H), which is read from it; its gamma is the round-0 domination
+    number.  The same target set S receives a leaf every round, matching the
     one-new-edge-per-vertex accounting; the criterion is evaluated with the
     originally chosen side X as the fixed denominator, and rounds note when
     the |A| <= |B| normalisation would relabel the sides.  The domination
-    number is recomputed each round and must stay at its round-0 value.
+    number is recomputed for every grown graph and must stay at its round-0
+    value.
     """
     if max_rounds < 1:
         raise PreconditionError("need max_rounds >= 1")
     if h_delta < 0:
         raise PreconditionError("negative partner degree")
-    r = as_fraction(rho_h)
-    hyp = evaluate_hypothesis(bg, r, cache)
+    r = hyp.rho_h
     if not hyp.usable:
         return TransformTrace(
             hypothesis=hyp, side_x=None, m_star=None, targets=None,
@@ -361,7 +363,7 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, rho_h, max_rounds: int,
         verdict = CriterionVerdict(
             "imbalance-arbitrary", lhs >= rhs, lhs, rhs, lhs == rhs,
             note="denominator fixed to the chosen side X")
-        gamma_t = gamma_value(g, cache)
+        gamma_t = gamma_value(g, cache) if t else gamma0
         if gamma_t != gamma0:
             raise FindingError(
                 "domination number drifted under leaf attachment",

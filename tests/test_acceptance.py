@@ -16,7 +16,6 @@ from domdensity import (
     GammaCache,
     enumerate_kreg,
     REFERENCE_NK,
-    RationalMatrix,
     bipartition,
     bipartition_upper_bound,
     canonical_key,
@@ -76,7 +75,8 @@ def test_criterion_02_worked_3regular_example(rank6_matrix):
     assert gamma == 4
     assert gamma_brute(g) == 4
     assert is_dominating(g, witness.vertices)
-    assert rank_exact(RationalMatrix.from_bit_rows(rank6_matrix.rows, 6)) == 6
+    assert rank_exact([[row >> j & 1 for j in range(6)]
+                       for row in rank6_matrix.rows]) == 6
     assert disjoint_row_cover(rank6_matrix, 2) is None
     assert conjectured_kreg_bound(6, 3) == 4 == gamma
     named = (1 << 1) | (1 << 4) | (1 << 6) | (1 << 9)  # {a2, a5, b1, b4}
@@ -218,7 +218,7 @@ def test_criterion_10_obstruction_and_rank_oracle():
         width = len(rows[0])
         for _ in range(rng.randrange(0, 10)):
             rows.append([rng.randrange(2) for _ in range(width)])
-        assert rank_exact(RationalMatrix.from_int_rows(rows)) == naive_rank(rows)
+        assert rank_exact(rows) == naive_rank(rows)
     _finish(10, "rank obstruction and elimination oracle", started, 120.0)
 
 
@@ -236,7 +236,7 @@ def test_criterion_11_transform_engine(cache):
                 continue
             report = constructive_inequality_check(bg, h, cache)
             assert report.applicable and report.holds
-            trace = iterate_leaves(bg, max_degree(h), density_h.value,
+            trace = iterate_leaves(bg, max_degree(h), hyp,
                                    max_rounds=64, cache=cache)
             assert trace.satisfied
             assert trace.final_round <= trace.round_bound

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from domdensity import emit_graph6, scan_conjecture, star
+from domdensity import emit_graph6, scan_conjecture, star, transform
 from domdensity.domination import _Search
 from domdensity.cli import (
     EXIT_CAPACITY,
@@ -288,6 +289,41 @@ class TestTransform:
     def test_missing_parameters_rejected(self, c4_file):
         assert main(["transform", c4_file]) == EXIT_INPUT
 
+    # rank6 is solved once at round 0; each of rounds 1-4 adds m* = 3 leaves,
+    # and only those grown graphs are solved again.
+    GROWN = {15: 1, 18: 1, 21: 1, 24: 1}
+
+    @pytest.mark.parametrize("partner, solves", [
+        (["--h", "C5"], {"value": {12: 1, 5: 1, 60: 1, **GROWN},
+                         "witness": {12: 1}, "sweep": {12: 1}}),
+        (["--rho-h", "2/5", "--delta-h", "2"],
+         {"value": {12: 1, **GROWN}, "witness": {12: 1}, "sweep": {12: 1}}),
+    ])
+    def test_one_solve_per_quantity(self, tmp_path, rank6_file, partner, solves,
+                                    capsys, monkeypatch):
+        calls = {"value": Counter(), "witness": Counter(), "sweep": Counter()}
+
+        def counted(kind, fn, order):
+            def wrapper(*args):
+                calls[kind][order(*args)] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(_Search, "minimum_size", counted(
+            "value", _Search.minimum_size, lambda search, seed: search.n))
+        monkeypatch.setattr(_Search, "lexmin_witness", counted(
+            "witness", _Search.lexmin_witness, lambda search, gamma: search.n))
+        monkeypatch.setattr(transform, "minimum_dominating_sets", counted(
+            "sweep", transform.minimum_dominating_sets, lambda g, gamma: g.n))
+        c5 = tmp_path / "c5.edges"
+        c5.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+        partner = [str(c5) if arg == "C5" else arg for arg in partner]
+        assert main(["transform", rank6_file, *partner,
+                     "--format", "json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["trace"]["final_round"] == 4
+        assert calls == solves
+
 
 def test_cache_shared_across_commands(tmp_path, c4_file, capsys):
     cache = tmp_path / "gamma.cache"
@@ -296,3 +332,21 @@ def test_cache_shared_across_commands(tmp_path, c4_file, capsys):
     assert len(first.splitlines()) == 1
     assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_OK
     assert cache.read_text() == first  # hit, no rewrite
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["check-vizing", "C4"],
+                                     ["transform", "--rho-h", "1/2", "--delta-h", "2"]])
+@pytest.mark.parametrize("wrong", [1, 3])
+def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
+                                              command, wrong):
+    cache = tmp_path / "gamma.cache"
+    assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_OK
+    key, value = cache.read_text().split()
+    assert value == "2"
+    cache.write_text(f"{key} {wrong}\n")
+    capsys.readouterr()
+    name, *rest = command
+    argv = [name, c4_file, *[c4_file if a == "C4" else a for a in rest]]
+    assert main([*argv, "--cache", str(cache)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "domination number" in err

@@ -9,7 +9,6 @@ import pytest
 from domdensity import (
     BiadjacencyMatrix,
     PreconditionError,
-    RationalMatrix,
     biadjacency_rank,
     complement_identity_check,
     cover_to_dominating_set,
@@ -84,8 +83,7 @@ class TestRankExact:
         assert biadjacency_rank(rank6_matrix) == 6
 
     def test_all_ones_rank_one(self):
-        m = RationalMatrix.from_int_rows([[1] * 5] * 5)
-        assert rank_exact(m) == 1
+        assert rank_exact([[1] * 5] * 5) == 1
 
     def test_block_matrix_rank_by_subset_determinants(self, block6_matrix):
         rows = _bits_to_lists(block6_matrix.rows, 6)
@@ -97,13 +95,13 @@ class TestRankExact:
             r = rng.randrange(1, 11)
             c = rng.randrange(1, 11)
             rows = [[rng.randrange(2) for _ in range(c)] for _ in range(r)]
-            assert rank_exact(RationalMatrix.from_int_rows(rows)) == naive_rank(rows)
+            assert rank_exact(rows) == naive_rank(rows)
 
-    def test_handles_rational_entries(self):
-        rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
-        assert rank_exact(RationalMatrix(tuple(map(tuple, rows)))) == naive_rank(rows)
-        rows = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(2), Fraction(1)]]
-        assert rank_exact(RationalMatrix(tuple(map(tuple, rows)))) == 1
+    def test_rejects_empty_and_ragged_rows(self):
+        with pytest.raises(ValueError):
+            rank_exact([])
+        with pytest.raises(ValueError):
+            rank_exact([[1, 0], [1]])
 
 
 class TestComplementIdentity:

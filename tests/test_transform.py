@@ -142,18 +142,21 @@ class TestConstructiveInequality:
 class TestIterateLeaves:
     def test_star_already_satisfied(self):
         bg = bipartition(star(3))
-        trace = iterate_leaves(bg, 2, Fraction(1, 3), max_rounds=5)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 3)),
+                               max_rounds=5)
         assert trace.satisfied and trace.final_round == 0
         assert len(trace.rounds) == 1
 
     def test_already_satisfied_with_single_round_budget(self):
         bg = bipartition(star(3))
-        trace = iterate_leaves(bg, 2, Fraction(1, 3), max_rounds=1)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 3)),
+                               max_rounds=1)
         assert trace.final_round == 0
 
     def test_c4_multi_round_slopes(self):
         bg = bipartition(cycle_graph(4))
-        trace = iterate_leaves(bg, 2, Fraction(1, 2), max_rounds=10)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
+                               max_rounds=10)
         assert trace.satisfied and trace.final_round == 1
         assert trace.m_star == 2 and trace.round_bound == 2
         lhs = [r.verdict.lhs for r in trace.rounds]
@@ -165,19 +168,22 @@ class TestIterateLeaves:
 
     def test_balanced_k33_out_of_hypothesis(self):
         bg = bipartition(complete_bipartite(3, 3))
-        trace = iterate_leaves(bg, 2, Fraction(1), max_rounds=3)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1)),
+                               max_rounds=3)
         assert not trace.hypothesis.gate_met
         assert not trace.satisfied and trace.rounds == ()
 
     def test_side_b_growth_strictly_widens_gap(self):
         bg = bipartition(cycle_graph(4))
-        trace = iterate_leaves(bg, 2, Fraction(1, 2), max_rounds=10)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
+                               max_rounds=10)
         diffs = [r.size_b - r.size_a for r in trace.rounds]
         assert diffs == sorted(diffs) and len(set(diffs)) == len(diffs)
 
     def test_trace_serializes(self):
         bg = bipartition(cycle_graph(4))
-        trace = iterate_leaves(bg, 2, Fraction(1, 2), max_rounds=4)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
+                               max_rounds=4)
         payload = trace.to_json()
         assert payload["satisfied"] is True
         assert payload["rounds"][0]["criterion_name"] == "imbalance-arbitrary"
@@ -185,7 +191,8 @@ class TestIterateLeaves:
     def test_rejects_zero_round_budget(self):
         bg = bipartition(cycle_graph(4))
         with pytest.raises(PreconditionError):
-            iterate_leaves(bg, 2, Fraction(1, 2), max_rounds=0)
+            iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
+                           max_rounds=0)
 
 
 class TestProofAccounting:
@@ -211,7 +218,8 @@ class TestProofAccounting:
     def test_end_to_end_grown_pair_satisfies_inequality(self):
         bg = bipartition(cycle_graph(4))
         h = cycle_graph(4)
-        trace = iterate_leaves(bg, 2, rho(h).value, max_rounds=10)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, rho(h).value),
+                               max_rounds=10)
         assert trace.satisfied
         g = bg.graph
         for _ in range(trace.final_round):
@@ -234,7 +242,7 @@ class TestProofAccounting:
                 if not hyp.usable:
                     continue
                 from domdensity import max_degree
-                trace = iterate_leaves(bg, max_degree(h), r.value, max_rounds=64)
+                trace = iterate_leaves(bg, max_degree(h), hyp, max_rounds=64)
                 assert trace.satisfied
                 assert trace.final_round <= trace.round_bound
                 checked += 1
