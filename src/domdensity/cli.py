@@ -414,7 +414,11 @@ def cmd_transform(args) -> int:
             raise ParseError("need either --h FILE or both --rho-h and --delta-h")
         delta_h = args.delta_h
         constructive = None
-        hyp = evaluate_hypothesis(bg, Fraction(args.rho_h), cache)
+        try:
+            rho_h = Fraction(args.rho_h)
+        except ZeroDivisionError:
+            raise ParseError(f"--rho-h {args.rho_h} has a zero denominator") from None
+        hyp = evaluate_hypothesis(bg, rho_h, cache)
     trace = iterate_leaves(bg, delta_h, hyp, args.max_rounds, cache)
     record = {"trace": trace.to_json()}
     if constructive is not None:

@@ -9,7 +9,10 @@ column-sum feasibility pruning, and keeps the columns nonincreasing when
 read with row 0 as the most significant bit.  That is row and column lex
 symmetry breaking (Flener et al., CP 2002, "Breaking row and column
 symmetries in matrix models"); every class has such a doubly-lexical
-member (Lubiw 1987, "Doubly lexical orderings of matrices").
+member (Lubiw 1987, "Doubly lexical orderings of matrices").  The first
+member of a class the generator reaches is its V-minimal one, so a complete
+matrix is kept after a self-minimality test: the column search, seeded
+with the matrix's own rows, finds no member below them.
 
 This module is the one place a class is evaluated.  ``class_record``
 gives its complete scan record: exact gamma, the conjectured bound
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .criteria import conjectured_kreg_bound, kreg_order_bound
 from .domination import GammaCache, gamma_value
@@ -124,7 +127,7 @@ def to_graph(m: BiadjacencyMatrix) -> BipartiteGraph:
 # canonical form under independent row and column permutations
 # ---------------------------------------------------------------------------
 
-def canonical_key(m: BiadjacencyMatrix) -> str:
+def canonical_key(m: BiadjacencyMatrix, below: Sequence[int] | None = None) -> str:
     """Lexicographically minimal row-sorted matrix over all column permutations.
 
     Column positions are assigned most-significant bit first; because the
@@ -135,21 +138,26 @@ def canonical_key(m: BiadjacencyMatrix) -> str:
     the same subtree and cannot improve the incumbent.  The key is emitted
     as fixed-width hex row masks, smallest row first, prefixed by the (n, k)
     shape.
+
+    ``below``, the nondecreasing rows of a member of the class, seeds the
+    incumbent, and the search stops at the first member strictly below it.
+    The result is then ``encode_key(n, k, below)`` iff ``below`` is the
+    minimal member, and otherwise the key of some smaller member.
     """
     n = m.n
     cols = tuple(sorted(m.column(j) for j in range(n)))
     rows_of = {c: [i for i in range(n) if c >> i & 1] for c in set(cols)}
-    best: list[int] | None = None
+    best: list[int] | None = None if below is None else list(below)
     visited: set[tuple] = set()
     memo_floor = n - 4  # dedup only near the root, where a hit prunes most
 
-    def descend(partials: list[int], remaining: tuple[int, ...], pos: int):
+    def descend(partials: list[int], remaining: tuple[int, ...], pos: int) -> bool:
+        # True stops the search: a member below ``below`` was found
         nonlocal best
         if pos < 0:
-            key = sorted(partials)
-            if best is None or key < best:
-                best = key
-            return
+            # the last expansion's bound was this leaf, and it beat ``best``
+            best = sorted(partials)
+            return below is not None
         if pos >= memo_floor:
             # Row-permutation-invariant fingerprint: a row matters only
             # through its partial value and its memberships among unplaced
@@ -158,7 +166,7 @@ def canonical_key(m: BiadjacencyMatrix) -> str:
                 (partials[r],) + tuple(c >> r & 1 for c in remaining)
                 for r in range(n)))
             if state in visited:
-                return
+                return False
             visited.add(state)
         expansions = []
         seen = set()
@@ -175,7 +183,9 @@ def canonical_key(m: BiadjacencyMatrix) -> str:
         for bound, grown, t in expansions:
             if best is not None and bound >= best:
                 break
-            descend(grown, remaining[:t] + remaining[t + 1:], pos - 1)
+            if descend(grown, remaining[:t] + remaining[t + 1:], pos - 1):
+                return True
+        return False
 
     descend([0] * n, cols, n - 1)
     assert best is not None
@@ -211,9 +221,11 @@ def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[Biadja
       would lower the first row where they differ.
 
     Generation runs in increasing V order, so that member is the first of
-    its class to appear.  It is the only matrix whose canonical key is the
-    encoding of its own rows, which is how duplicates are dropped.  Capped
-    at n <= 7 unless explicitly allowed up to 8.
+    its class to appear.  It is the only member that no column permutation
+    lowers, which is how duplicates are dropped: ``canonical_key`` runs
+    seeded with the matrix's own rows and stops at the first member below
+    them, instead of searching for the whole minimum.  Capped at n <= 7
+    unless explicitly allowed up to 8.
     """
     cap = SCAN_CAP_LARGE if allow_large else SCAN_CAP
     if not 1 <= k <= n:
@@ -233,7 +245,7 @@ def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[Biadja
         # bit j of ``tied``: columns j and j + 1 agree on every placed row
         if len(rows) == n:
             matrix = BiadjacencyMatrix(n, k, tuple(rows))
-            if canonical_key(matrix) == encode_key(n, k, rows):
+            if canonical_key(matrix, below=rows) == encode_key(n, k, rows):
                 yield matrix
             return
         remaining = n - len(rows) - 1

@@ -289,6 +289,12 @@ class TestTransform:
     def test_missing_parameters_rejected(self, c4_file):
         assert main(["transform", c4_file]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("rho_h", ["abc", "1/0"])
+    def test_malformed_rho_h_rejected(self, c4_file, rho_h, capsys):
+        assert main(["transform", c4_file, "--rho-h", rho_h,
+                     "--delta-h", "2"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
     # rank6 is solved once at round 0; each of rounds 1-4 adds m* = 3 leaves,
     # and only those grown graphs are solved again.
     GROWN = {15: 1, 18: 1, 21: 1, 24: 1}

@@ -3,7 +3,7 @@ orbit quotient, canonical keys, classification, and the scan driver."""
 
 import hashlib
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -29,7 +29,8 @@ from conftest import BLOCK6_ROWS, RANK6_ROWS
 
 # (n, k) -> (class count, sha256 of the sorted canonical keys joined by
 # newlines), taken from the generator that canonically keyed every
-# row-sorted matrix and kept the first of each key.
+# row-sorted matrix and kept the first of each key; (8, 2) and (8, 5) from
+# the column-ordered generator that fully keyed every complete matrix.
 PINNED_CLASSES = {
     (1, 1): (1, "c5752c93158aa0bc87f4665057b3d30a36b996345fc4250a69368f3ce46277ce"),
     (2, 1): (1, "86d823ee18a160103c9b2de0f95d9cd6d0cc7ae9fab221f447cc8ca0b91d5168"),
@@ -59,6 +60,8 @@ PINNED_CLASSES = {
     (7, 5): (4, "7a74ad490cf195f65414164cb2e08342fe695ea9c9fa07a40fa954c54a0636a9"),
     (7, 6): (1, "0b257c0de7908bad8053658c5c4cbfb0159b312211132cb98e3e4888e585f990"),
     (7, 7): (1, "4484aed9b5d6272960c0434a62ee44ee68ac5dc0ac59945485a7d4ec446fabca"),
+    (8, 2): (7, "1dd721db290db2d7ff9eb54c3e80b17af6893ac963a837193ed8cc025e4609a7"),
+    (8, 5): (51, "be3ae6d33eb58dc3e49f20e4d0567f378691dd0aab987ee40401a66a3949b39a"),
     (8, 6): (7, "64e37d4eb1fac22a87a3b6e854c9576aa1a1d00f5cef32aae779dcddd968e933"),
 }
 
@@ -129,6 +132,24 @@ def _orbit_class_count(n: int, k: int) -> int:
     return classes
 
 
+def _column_permuted(rows, n, cp):
+    """Rows of the matrix whose column j is column cp[j] of ``rows``."""
+    return tuple(sum(((row >> cp[j]) & 1) << j for j in range(n)) for row in rows)
+
+
+def _sorted_members(rows, n):
+    """Every member of the class of ``rows``, each as its sorted rows."""
+    return {tuple(sorted(_column_permuted(rows, n, cp)))
+            for cp in permutations(range(n))}
+
+
+def _decode_key(key: str, n: int) -> tuple[int, ...]:
+    width = (n + 3) // 4
+    hexrows = key.split(".", 2)[2]
+    return tuple(int(hexrows[i:i + width], 16)
+                 for i in range(0, len(hexrows), width))
+
+
 class TestMatrixType:
     def test_validates_row_and_column_sums(self):
         with pytest.raises(ValueError, match="row 0"):
@@ -196,6 +217,36 @@ class TestCanonicalKey:
                     best = rows
             assert canonical_key(m) == "4.2." + "".join(f"{r:01x}" for r in best)
 
+    def test_below_against_min_over_all_permutations(self):
+        # every (4,2) matrix, then random column permutations of every
+        # representative with n <= 6; sorting the rows of each input stands
+        # for any row permutation
+        inputs = {tuple(sorted(rows)) for rows in product(
+            [r for r in range(16) if r.bit_count() == 2], repeat=4)
+            if all(sum(r >> j & 1 for r in rows) == 2 for j in range(4))}
+        inputs = [(4, 2, rows) for rows in sorted(inputs)]
+        rng = random.Random(61)
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                for m in enumerate_kreg(n, k):
+                    for _ in range(3):
+                        cp = list(range(n))
+                        rng.shuffle(cp)
+                        inputs.append(
+                            (n, k, tuple(sorted(_column_permuted(m.rows, n, cp)))))
+        assert len(inputs) > 100
+        minimal = 0
+        for n, k, rows in inputs:
+            members = _sorted_members(rows, n)
+            key = canonical_key(BiadjacencyMatrix(n, k, rows), below=rows)
+            if rows == min(members):
+                minimal += 1
+                assert key == encode_key(n, k, rows)
+            else:
+                found = _decode_key(key, n)
+                assert found in members and found < rows, (rows, found)
+        assert 0 < minimal < len(inputs)
+
 
 class TestEnumerate:
     def test_single_class_cases(self):
@@ -224,10 +275,25 @@ class TestEnumerate:
             # columns read with row 0 as the most significant bit
             cols = [tuple(m.entry(i, j) for i in range(n)) for j in range(n)]
             assert all(a >= b for a, b in zip(cols, cols[1:])), m.rows
-            assert canonical_key(m) == encode_key(n, k, m.rows)
-        keys = sorted(canonical_key(m) for m in classes)
-        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        keys = [canonical_key(m) for m in classes]
+        assert keys == [encode_key(n, k, m.rows) for m in classes]
+        digest = hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
         assert (len(keys), digest) == PINNED_CLASSES[(n, k)]
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8)
+                                     for k in range(1, n)] + [(8, 2), (8, 6)])
+    def test_complement_is_a_bijection_of_classes(self, n, k):
+        # complementing every entry maps the classes at (n, k) one to one
+        # onto the classes at (n, n - k)
+        full = (1 << n) - 1
+        classes = list(enumerate_kreg(n, k, allow_large=n == 8))
+        complements = {
+            canonical_key(BiadjacencyMatrix(n, n - k, tuple(full ^ r for r in m.rows)))
+            for m in classes}
+        assert len(complements) == len(classes)
+        assert complements == {
+            encode_key(n, n - k, m.rows)
+            for m in enumerate_kreg(n, n - k, allow_large=n == 8)}
 
     def test_worked_example_class_is_enumerated(self, rank6_matrix):
         keys = {canonical_key(m) for m in enumerate_kreg(6, 3)}
