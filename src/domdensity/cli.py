@@ -5,8 +5,8 @@ Exit statuses: 0 success (including "criterion not applicable" and
 bound or implication failed, the scientifically interesting outcome).
 
 Every flag has an environment override with the DOMDENSITY_ prefix
-(DOMDENSITY_FORMAT, DOMDENSITY_CACHE, DOMDENSITY_JOBS,
-DOMDENSITY_MAX_VERTICES, DOMDENSITY_ALLOW_LARGE, DOMDENSITY_PAPER_TABLE).
+(DOMDENSITY_FORMAT, DOMDENSITY_CACHE, DOMDENSITY_MAX_VERTICES,
+DOMDENSITY_ALLOW_LARGE, DOMDENSITY_PAPER_TABLE).
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 
 from .criteria import (
@@ -50,7 +48,6 @@ from .graphs import (
     DEFAULT_MAX_PRODUCT_VERTICES,
     Graph,
     bipartition,
-    graph_key,
     is_connected,
     max_degree,
     parse_edge_list,
@@ -300,65 +297,53 @@ def cmd_scan(args) -> int:
     cache = GammaCache(args.cache) if args.cache else None
     out = open(args.output, "a" if args.resume else "w") if args.output else sys.stdout
     try:
-        # enumerate_kreg yields the representatives in key order
-        classes = [(m, encode_key(m.n, m.k, m.rows))
-                   for m in enumerate_kreg(args.n, args.k, args.allow_large)]
-        todo = [(m, key) for m, key in classes if key not in done]
-        if args.jobs > 1:
-            # Workers get no cache.  The parent alone reads it and writes it,
-            # in key order: a class whose graph is cached is evaluated here,
-            # as a serial run does, and only the misses go to the workers.
-            misses = [(m, key) for m, key in todo if cache is None
-                      or cache.get(graph_key(to_graph(m).graph)) is None]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                solved = dict(zip([key for _, key in misses], pool.map(
-                    class_record, [m for m, _ in misses], repeat(None),
-                    [key for _, key in misses])))
-            evaluated = []
-            for m, key in todo:
-                if key in solved:
-                    if cache is not None:
-                        cache.put(graph_key(to_graph(m).graph), solved[key][0].gamma)
-                    evaluated.append(solved[key])
-                else:
-                    evaluated.append(class_record(m, cache, key))
-        else:
-            evaluated = [class_record(m, cache, key) for m, key in todo]
-        records = [record.to_json() for record, _ in evaluated]
-
-        # The summary and the exit status cover the whole cell: records a
-        # resumed run found in --output count as if scanned now.
-        scanned = {**done, **{r["key"]: r for r in records}}
-        cell = [scanned[key] for _, key in classes]
-        all_findings = [f for m, key in classes
-                        for f in record_findings(m, scanned[key])]
-        summary = {
-            "type": "summary",
-            "n": args.n,
-            "k": args.k,
-            "classes": len(cell),
-            "max_gamma": max((r["gamma"] for r in cell), default=0),
-            "findings": len(all_findings),
-        }
         if args.format == "csv":
-            _emit_records(records, "csv", out)
-            print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+            table = csv.DictWriter(out, fieldnames=SCAN_RECORD_FIELDS)
+
+            def write(r):
+                # csv never resumes, so the first write is the first class;
+                # a cell refused by enumeration writes no header.
+                if not classes:
+                    table.writeheader()
+                table.writerow(_flatten(r))
         elif args.format == "text":
-            for r in records:
+            def write(r):
                 print(f"{r['key']}  gamma={r['gamma']}  conj={r['conj_bound']}  "
                       f"order={r['order_bound']}  case={r['case']}  "
                       f"rank={r['rank']}  cover={r['cover_exists']}  "
                       f"connected={r['connected']}", file=out)
-            print(f"classes={summary['classes']} max_gamma={summary['max_gamma']} "
-                  f"findings={summary['findings']}", file=out)
         else:
-            _emit_records(records + [summary], "json", out)
-        if all_findings:
-            for f in all_findings:
-                print(f"FINDING: {json.dumps(f.to_json(), sort_keys=True)}",
-                      file=sys.stderr)
-            return EXIT_FINDING
-        return EXIT_OK
+            def write(r):
+                out.write(json.dumps(r, sort_keys=True) + "\n")
+
+        # enumerate_kreg yields the representatives in key order.  Each fresh
+        # record is on disk before the next class is generated; the summary
+        # and the exit status cover the whole cell, records a resumed run
+        # found in --output included.
+        classes, max_gamma, findings = 0, 0, []
+        for m in enumerate_kreg(args.n, args.k, args.allow_large):
+            key = encode_key(m.n, m.k, m.rows)
+            record = done.get(key)
+            if record is None:
+                record = class_record(m, cache, key)[0].to_json()
+                write(record)
+                out.flush()
+            classes += 1
+            max_gamma = max(max_gamma, record["gamma"])
+            findings += record_findings(m, record)
+
+        summary = {"type": "summary", "n": args.n, "k": args.k, "classes": classes,
+                   "max_gamma": max_gamma, "findings": len(findings)}
+        if args.format == "csv":
+            print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+        elif args.format == "text":
+            print(f"classes={classes} max_gamma={max_gamma} "
+                  f"findings={len(findings)}", file=out)
+        else:
+            write(summary)
+        for f in findings:
+            print(f"FINDING: {json.dumps(f.to_json(), sort_keys=True)}", file=sys.stderr)
+        return EXIT_FINDING if findings else EXIT_OK
     finally:
         if out is not sys.stdout:
             out.close()
@@ -469,8 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env("FORMAT", "text"))
     common.add_argument("--cache", default=_env("CACHE"),
                         help="path of the persistent gamma cache log")
+    # A string default goes through type=int, so a malformed environment
+    # value is an argparse error (exit 2), not a traceback.
     common.add_argument("--max-vertices", type=int,
-                        default=int(_env("MAX_VERTICES", DEFAULT_MAX_PRODUCT_VERTICES)))
+                        default=_env("MAX_VERTICES", str(DEFAULT_MAX_PRODUCT_VERTICES)))
     common.add_argument("--input-format", choices=("auto", "graph6", "edgelist",
                                                    "biadjacency"), default="auto")
 
@@ -491,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--allow-large", action="store_true",
                    default=_env_flag("ALLOW_LARGE"))
-    p.add_argument("--jobs", type=int, default=int(_env("JOBS", 1)))
     p.add_argument("--output", help="write JSON-lines records here")
     p.add_argument("--resume", action="store_true",
                    help="skip classes whose keys already appear in --output"
@@ -523,10 +509,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PreconditionError as exc:
+    except (ValueError, OSError) as exc:
+        # ParseError and PreconditionError are ValueErrors; an OSError is a
+        # path that cannot be read or written (--output, --cache).
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:
@@ -537,9 +522,6 @@ def main(argv=None) -> int:
         if exc.record:
             print(json.dumps(exc.record, sort_keys=True), file=sys.stderr)
         return EXIT_FINDING
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

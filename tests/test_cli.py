@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from domdensity import emit_graph6, scan_conjecture, star, transform
+from domdensity import cli, emit_graph6, scan_conjecture, star, transform
 from domdensity.domination import _Search
 from domdensity.cli import (
     EXIT_CAPACITY,
@@ -198,28 +198,74 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == \
                "89eae5c5b4ce611a417e78f8655e7e561b2c88682e9afaa007458e35fd47029b"
 
-    def test_scan_jobs_matches_serial(self, tmp_path, capsys):
-        argv = ["scan", "4", "2", "--format", "json", "--cache"]
-        assert main(argv + [str(tmp_path / "B")]) == EXIT_OK
-        serial = capsys.readouterr().out
-        assert main(argv + [str(tmp_path / "A"), "--jobs", "2"]) == EXIT_OK
-        assert capsys.readouterr().out == serial
-        assert (tmp_path / "A").read_bytes() == (tmp_path / "B").read_bytes() != b""
+    def test_scan_reuses_its_cache(self, tmp_path, capsys):
+        argv = ["scan", "4", "2", "--format", "json", "--cache", str(tmp_path / "C")]
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        log = (tmp_path / "C").read_bytes()
+        assert log != b""
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert (tmp_path / "C").read_bytes() == log
 
-    def test_scan_jobs_trusts_the_cache_like_serial(self, tmp_path, capsys):
-        # One cached value is wrong and the other class is a miss: --jobs
-        # must report what the serial scan reports, from the same cache.
-        argv = ["scan", "4", "2", "--format", "json", "--cache"]
-        assert main(argv + [str(tmp_path / "C")]) == EXIT_OK
+    def test_scan_trusts_a_wrong_cached_value(self, tmp_path, capsys):
+        # One cached value is wrong and the other class is a miss: the scan
+        # uses the cached value as it is and reports what it implies.
+        argv = ["scan", "4", "2", "--format", "json", "--cache", str(tmp_path / "C")]
+        assert main(argv) == EXIT_OK
         capsys.readouterr()
         first = (tmp_path / "C").read_text().splitlines()[0]
-        for name in "AB":
-            (tmp_path / name).write_text(first.rpartition(" ")[0] + " 9\n")
-        serial = main(argv + [str(tmp_path / "B")]), capsys.readouterr()
-        assert serial[0] == EXIT_FINDING
-        assert (main(argv + [str(tmp_path / "A"), "--jobs", "2"]),
-                capsys.readouterr()) == serial
-        assert (tmp_path / "A").read_bytes() == (tmp_path / "B").read_bytes()
+        (tmp_path / "C").write_text(first.rpartition(" ")[0] + " 9\n")
+        assert main(argv) == EXIT_FINDING
+        captured = capsys.readouterr()
+        assert [json.loads(ln.removeprefix("FINDING: "))
+                for ln in captured.err.splitlines()] == [
+            {"case": "gamma4-unique-form", "expected": 4, "gamma": 9,
+             "key": "4.2.33cc", "kind": "classification"},
+            {"bound": 4, "gamma": 9, "key": "4.2.33cc", "kind": "conjecture-bound"},
+            {"bound": 4, "gamma": 9, "key": "4.2.33cc", "kind": "order-bound"},
+        ]
+        assert json.loads(captured.out.splitlines()[-1])["max_gamma"] == 9
+        # the wrong value is kept and the miss is appended after it
+        log = (tmp_path / "C").read_text().splitlines()
+        assert len(log) == 2 and log[0] == first.rpartition(" ")[0] + " 9"
+
+    def test_scan_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "4", "2", "--jobs", "2"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--jobs" in capsys.readouterr().err
+
+    # Lines a format writes before its first record: the csv header.
+    @pytest.mark.parametrize("fmt, head", [("json", 0), ("text", 0), ("csv", 1)])
+    def test_each_record_is_written_as_its_class_is_scanned(
+            self, tmp_path, capsys, monkeypatch, fmt, head):
+        argv = ["scan", "6", "3", "--format", fmt, "--output"]
+        full = tmp_path / "full.out"
+        assert main(argv + [str(full)]) == EXIT_OK
+        part = tmp_path / "part.out"
+        first = "".join(full.read_text().splitlines(keepends=True)[:head + 1])
+        calls, original = [], cli.class_record
+
+        class Killed(Exception):
+            pass
+
+        def killed_at_second_class(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                # The first class is already on disk, complete.
+                assert part.read_text() == first
+                raise Killed
+            return original(*args)
+
+        monkeypatch.setattr("domdensity.cli.class_record", killed_at_second_class)
+        with pytest.raises(Killed):
+            main(argv + [str(part)])
+        monkeypatch.undo()
+        assert part.read_text() == first
+        if fmt == "json":
+            assert main(argv + [str(part), "--resume"]) == EXIT_OK
+            assert part.read_bytes() == full.read_bytes()
 
     def test_library_scan_reports_the_cli_findings(self, capsys):
         assert main(["scan", "4", "1", "--format", "json"]) == EXIT_FINDING
@@ -227,6 +273,12 @@ class TestScan:
         expected = [f"FINDING: {json.dumps(f.to_json(), sort_keys=True)}"
                     for f in scan_conjecture(4, 1).findings]
         assert err == expected and len(expected) == 1
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 3), (6, 3)])
+    def test_library_scan_gives_the_cli_records(self, capsys, n, k):
+        main(["scan", str(n), str(k), "--format", "json"])
+        lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert lines[:-1] == [r.to_json() for r in scan_conjecture(n, k).records]
 
     def test_scan_csv(self, capsys):
         assert main(["scan", "3", "2", "--format", "csv"]) == EXIT_OK
@@ -249,6 +301,13 @@ class TestThresholds:
         assert main(["thresholds", "5", "--paper-table"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "reference=13" in out and "reference=23" in out
+
+    def test_malformed_env_max_vertices_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DOMDENSITY_MAX_VERTICES", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", "3"])
+        assert exc.value.code == EXIT_INPUT
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_env_override_format(self, capsys, monkeypatch):
         monkeypatch.setenv("DOMDENSITY_FORMAT", "json")
@@ -356,3 +415,17 @@ def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
     assert main([*argv, "--cache", str(cache)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "domination number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "4", "2", "--output", "MISSING/scan.out"],
+    ["gamma", "C4", "--cache", "MISSING/gamma.cache"],
+    ["scan", "4", "2", "--cache", "DIR"],
+])
+def test_unopenable_path_is_an_input_error(tmp_path, c4_file, capsys, argv):
+    paths = {"C4": c4_file, "DIR": str(tmp_path),
+             "MISSING/scan.out": str(tmp_path / "missing" / "scan.out"),
+             "MISSING/gamma.cache": str(tmp_path / "missing" / "gamma.cache")}
+    argv = [paths.get(a, a) for a in argv]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
