@@ -70,19 +70,15 @@ from .graphs import (
 from .rankcheck import (
     ObstructionReport,
     biadjacency_rank,
-    complement_identity_check,
-    cover_to_dominating_set,
     disjoint_row_cover,
     obstruction_report,
     rank_exact,
 )
 from .transform import (
     ConstructiveReport,
-    DominationSplit,
     HypothesisReport,
     TransformTrace,
     constructive_inequality_check,
-    domination_split,
     evaluate_hypothesis,
     iterate_leaves,
     m_star,

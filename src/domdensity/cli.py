@@ -3,19 +3,13 @@
 Exit statuses: 0 success (including "criterion not applicable" and
 "hypothesis not met"), 2 input error, 3 capacity, 4 a finding (a checked
 bound or implication failed, the scientifically interesting outcome).
-
-Every flag has an environment override with the DOMDENSITY_ prefix
-(DOMDENSITY_FORMAT, DOMDENSITY_CACHE, DOMDENSITY_MAX_VERTICES,
-DOMDENSITY_ALLOW_LARGE, DOMDENSITY_PAPER_TABLE).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -59,20 +53,10 @@ from .transform import (
     iterate_leaves,
 )
 
-ENV_PREFIX = "DOMDENSITY_"
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_FINDING = 4
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
-def _env_flag(name: str) -> bool:
-    return (_env(name) or "").lower() in {"1", "true", "yes", "on"}
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +130,6 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
 
 def _frac(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
-
-
-def _frac_line(label: str, fr: Fraction) -> str:
-    return f"{label} = {_frac(fr)} (~{float(fr):.6g})"
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +364,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if args.format == "csv":
+        raise ParseError("transform records are nested; use --format json or text")
     g = _load_graph(args.input, args.input_format)
     bg = bipartition(g)
     if bg is None:
@@ -450,14 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default=_env("FORMAT", "text"))
-    common.add_argument("--cache", default=_env("CACHE"),
-                        help="path of the persistent gamma cache log")
-    # A string default goes through type=int, so a malformed environment
-    # value is an argparse error (exit 2), not a traceback.
-    common.add_argument("--max-vertices", type=int,
-                        default=_env("MAX_VERTICES", str(DEFAULT_MAX_PRODUCT_VERTICES)))
+    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    common.add_argument("--cache", help="path of the persistent gamma cache log")
+    common.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_PRODUCT_VERTICES)
     common.add_argument("--input-format", choices=("auto", "graph6", "edgelist",
                                                    "biadjacency"), default="auto")
 
@@ -476,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive k-regular bipartite class scan")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--allow-large", action="store_true",
-                   default=_env_flag("ALLOW_LARGE"))
+    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--output", help="write JSON-lines records here")
     p.add_argument("--resume", action="store_true",
                    help="skip classes whose keys already appear in --output"
@@ -488,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="balanced-order thresholds N(k)")
     p.add_argument("kmax", type=int)
     p.add_argument("--paper-table", action="store_true",
-                   default=_env_flag("PAPER_TABLE"),
                    help="print published reference values alongside computed ones")
     p.set_defaults(func=cmd_thresholds)
 

@@ -33,9 +33,6 @@ class Density:
     def value(self) -> Fraction:
         return Fraction(self.gamma, self.order)
 
-    def __str__(self) -> str:
-        return f"{self.gamma}/{self.order}"
-
 
 def as_fraction(x) -> Fraction:
     """Accept a Density, Fraction, int, or 'p/q' string."""

@@ -14,8 +14,6 @@ backtracking search.  The implication is checked, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
@@ -61,25 +59,6 @@ def rank_exact(rows) -> int:
 
 def biadjacency_rank(m: BiadjacencyMatrix) -> int:
     return rank_exact([[row >> j & 1 for j in range(m.n)] for row in m.rows])
-
-
-def complement_identity_check(m) -> bool:
-    """Verify sum of rows = k * all-ones, entry by entry.
-
-    That identity makes the complement of every row r equal to
-    (1/k) * (sum of rows) - r, a rational combination of rows.  Inputs whose
-    column sums break regularity are rejected.
-    """
-    n, k, rows = m.n, m.k, m.rows
-    col_sums = [sum(r >> j & 1 for r in rows) for j in range(n)]
-    if any(s != k for s in col_sums):
-        raise PreconditionError("column sums are not constant k; not k-regular")
-    for row in rows:
-        for j in range(n):
-            lhs = Fraction(col_sums[j], k) - (row >> j & 1)
-            if lhs != 1 - (row >> j & 1):
-                return False
-    return True
 
 
 def disjoint_row_cover(m: BiadjacencyMatrix, rows_wanted: int):
@@ -157,38 +136,3 @@ def obstruction_report(m: BiadjacencyMatrix) -> ObstructionReport:
         cover_witness=witness,
     )
 
-
-def cover_to_dominating_set(m: BiadjacencyMatrix, row_witness) -> int:
-    """Grow a one-sided cover into an explicit dominating set of the graph.
-
-    The witness rows dominate every column vertex; the smallest column set
-    covering the remaining rows is found exactly and added.  Returns a
-    vertex bitmask in ``to_graph`` indexing (rows 0..n-1, columns n..2n-1).
-    """
-    n = m.n
-    chosen_rows = set(row_witness)
-    remaining = [i for i in range(n) if i not in chosen_rows]
-    cols = [m.column(j) for j in range(n)]
-    need = 0
-    for i in remaining:
-        need |= 1 << i
-    if need == 0:
-        best_cols: tuple[int, ...] = ()
-    else:
-        best_cols = None
-        for size in range(n + 1):
-            for combo in combinations(range(n), size):
-                covered = 0
-                for j in combo:
-                    covered |= cols[j]
-                if covered & need == need:
-                    best_cols = combo
-                    break
-            if best_cols is not None:
-                break
-    mask = 0
-    for i in chosen_rows:
-        mask |= 1 << i
-    for j in best_cols:
-        mask |= 1 << (n + j)
-    return mask

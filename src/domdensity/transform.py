@@ -28,7 +28,6 @@ from .domination import (
     closed_neighborhoods,
     gamma_exact,
     gamma_value,
-    is_dominating,
 )
 from .errors import FindingError, PreconditionError
 from .graphs import (
@@ -42,35 +41,6 @@ from .graphs import (
 )
 
 EXHAUSTIVE_SWEEP_LIMIT = 14
-
-
-@dataclass(frozen=True)
-class DominationSplit:
-    """How a dominating set distributes over a bipartition."""
-
-    host: BipartiteGraph
-    dset: DominatingSet
-    d_in_a: int
-    d_in_b: int
-    prop_a: Fraction
-    prop_b: Fraction
-
-
-def domination_split(bg: BipartiteGraph, d: DominatingSet) -> DominationSplit:
-    if not is_dominating(bg.graph, d.vertices):
-        raise PreconditionError("the given set does not dominate the host")
-    if bg.size_a == 0:
-        raise PreconditionError("degenerate bipartition with empty side A")
-    in_a = d.vertices & bg.side_a
-    in_b = d.vertices & bg.side_b
-    return DominationSplit(
-        host=bg,
-        dset=d,
-        d_in_a=in_a,
-        d_in_b=in_b,
-        prop_a=Fraction(in_a.bit_count(), bg.size_a),
-        prop_b=Fraction(in_b.bit_count(), bg.size_b),
-    )
 
 
 def m_star(x_size: int, dx_size: int, rho_h) -> int | None:
@@ -95,10 +65,8 @@ class SplitCandidate:
 
     dset: DominatingSet
     side: str
-    side_mask: int
     side_size: int
     d_in_side: int
-    proportion: Fraction
     meets: bool
     m_star: int | None
     equality_gap: bool
@@ -161,10 +129,8 @@ def evaluate_hypothesis(bg: BipartiteGraph, rho_h, cache: GammaCache | None = No
             candidates.append(SplitCandidate(
                 dset=dset,
                 side=side,
-                side_mask=side_mask,
                 side_size=size,
                 d_in_side=d_in,
-                proportion=prop,
                 meets=meets,
                 m_star=ms,
                 equality_gap=meets and ms is None,

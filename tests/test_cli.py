@@ -1,4 +1,4 @@
-"""Command-line surface: formats, exit statuses, env overrides, determinism."""
+"""Command-line surface: formats, exit statuses, determinism."""
 
 import hashlib
 import json
@@ -302,19 +302,6 @@ class TestThresholds:
         out = capsys.readouterr().out
         assert "reference=13" in out and "reference=23" in out
 
-    def test_malformed_env_max_vertices_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("DOMDENSITY_MAX_VERTICES", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["thresholds", "3"])
-        assert exc.value.code == EXIT_INPUT
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
-
-    def test_env_override_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("DOMDENSITY_FORMAT", "json")
-        assert main(["thresholds", "4"]) == EXIT_OK
-        rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
-        assert rows[0]["k"] == 3
-
 
 class TestTransform:
     def test_c4_trace_text(self, c4_file, capsys):
@@ -344,6 +331,18 @@ class TestTransform:
         c5.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
         assert main(["transform", str(c5), "--rho-h", "1/2",
                      "--delta-h", "2"]) == EXIT_INPUT
+
+    def test_csv_rejected_before_solving(self, c4_file, capsys, monkeypatch):
+        # Trace rounds are a list of records; a csv cell would hold its repr.
+        def load(*args):
+            raise AssertionError("csv is refused before any input is read")
+        monkeypatch.setattr(cli, "_load_graph", load)
+        assert main(["transform", c4_file, "--h", c4_file,
+                     "--format", "csv"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("input error: transform records are nested;"
+                       " use --format json or text\n")
 
     def test_missing_parameters_rejected(self, c4_file):
         assert main(["transform", c4_file]) == EXIT_INPUT

@@ -1,24 +1,17 @@
-"""Exact rank, the complement identity, and the disjoint-cover obstruction."""
+"""Exact rank and the disjoint-cover obstruction."""
 
 import random
-from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
 from domdensity import (
     BiadjacencyMatrix,
-    PreconditionError,
     biadjacency_rank,
-    complement_identity_check,
-    cover_to_dominating_set,
     disjoint_row_cover,
     enumerate_kreg,
-    gamma_value,
-    is_dominating,
     obstruction_report,
     rank_exact,
-    to_graph,
 )
 
 
@@ -104,23 +97,6 @@ class TestRankExact:
             rank_exact([[1, 0], [1]])
 
 
-class TestComplementIdentity:
-    def test_worked_examples(self, rank6_matrix, block6_matrix):
-        assert complement_identity_check(rank6_matrix)
-        assert complement_identity_check(block6_matrix)
-
-    def test_perturbed_entry_rejected(self):
-        fake = namedtuple("fake", "n k rows")(3, 2, (0b011, 0b110, 0b100))
-        with pytest.raises(PreconditionError):
-            complement_identity_check(fake)
-
-    def test_every_small_class_satisfies_it(self):
-        for n in range(1, 6):
-            for k in range(1, n + 1):
-                for m in enumerate_kreg(n, k):
-                    assert complement_identity_check(m)
-
-
 class TestDisjointRowCover:
     def test_worked_example_has_no_two_row_cover(self, rank6_matrix):
         assert disjoint_row_cover(rank6_matrix, 2) is None
@@ -167,17 +143,3 @@ class TestObstruction:
         for m in enumerate_kreg(6, 3):
             report = obstruction_report(m)
             assert report.implication_holds
-
-    def test_cover_yields_explicit_dominating_set(self):
-        for n in range(1, 6):
-            for k in range(1, n + 1):
-                for m in enumerate_kreg(n, k):
-                    report = obstruction_report(m)
-                    if not report.cover_exists:
-                        continue
-                    bg = to_graph(m)
-                    mask = cover_to_dominating_set(m, report.cover_witness)
-                    assert is_dominating(bg.graph, mask)
-                    bound = 2 * (-(-n // k))
-                    assert mask.bit_count() <= bound
-                    assert gamma_value(bg.graph) <= bound

@@ -1,4 +1,4 @@
-"""Transform engine: side splits, escalation subsets, the constructive
+"""Transform engine: escalation subsets, the constructive
 inequality, and the iterated leaf-attachment traces."""
 
 import random
@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from domdensity import (
-    DominatingSet,
     PreconditionError,
     attach_leaves,
     bipartition,
@@ -15,7 +14,6 @@ from domdensity import (
     complete_bipartite,
     constructive_inequality_check,
     cycle_graph,
-    domination_split,
     evaluate_hypothesis,
     gamma_brute,
     gamma_exact,
@@ -25,33 +23,9 @@ from domdensity import (
     path_graph,
     rho,
     star,
-    to_graph,
 )
 from domdensity.catalog import connected_bipartite_graphs, connected_graphs
 from domdensity.transform import minimum_dominating_sets
-
-
-class TestDominationSplit:
-    def test_c4_adjacent_pair(self):
-        bg = bipartition(cycle_graph(4))
-        split = domination_split(bg, DominatingSet.from_mask(0b0011))
-        assert split.prop_a == split.prop_b == Fraction(1, 2)
-
-    def test_star_center(self):
-        bg = bipartition(star(9))
-        split = domination_split(bg, DominatingSet.from_mask(0b1))
-        assert split.prop_a == 1 and split.prop_b == 0
-
-    def test_worked_example_split(self, rank6_matrix):
-        bg = to_graph(rank6_matrix)
-        d = DominatingSet.from_mask((1 << 1) | (1 << 4) | (1 << 6) | (1 << 9))
-        split = domination_split(bg, d)
-        assert split.prop_a == split.prop_b == Fraction(1, 3)
-
-    def test_rejects_non_dominating_set(self):
-        bg = bipartition(cycle_graph(4))
-        with pytest.raises(PreconditionError):
-            domination_split(bg, DominatingSet.from_mask(0b0001))
 
 
 class TestMStar:
