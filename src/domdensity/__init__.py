@@ -31,14 +31,11 @@ from .domination import (
 )
 from .enumeration import (
     BiadjacencyMatrix,
-    ScanRecord,
-    ScanReport,
     canonical_key,
     class_record,
     enumerate_kreg,
     is_unique_form,
     parse_biadjacency,
-    scan_conjecture,
     to_graph,
     unique_form_matrix,
 )

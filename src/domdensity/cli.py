@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .criteria import (
 from .density import density_vizing_check
 from .domination import GammaCache, _complete_lines, check_vizing, gamma_exact
 from .enumeration import (
-    ScanRecord,
+    SCAN_RECORD_FIELDS,
     # Unused here: bench/test_bench.py::test_traced_generator_and_rebinding
     # checks that the tracer rebinds it in this namespace.
     canonical_key,  # noqa: F401
@@ -241,10 +240,6 @@ def cmd_check_vizing(args) -> int:
     return EXIT_OK
 
 
-# Fields every class record of a scan output carries.
-SCAN_RECORD_FIELDS = [f.name for f in fields(ScanRecord)]
-
-
 def _scanned_records(path: str) -> dict[str, dict]:
     """Class records already written to a JSON-lines scan output, by key.
 
@@ -266,6 +261,12 @@ def _scanned_records(path: str) -> dict[str, dict]:
         missing = [f for f in SCAN_RECORD_FIELDS if f not in obj]
         if missing:
             raise ParseError(f"{path}: record {obj['key']!r} lacks {', '.join(missing)}")
+        # type(), not isinstance(): JSON true is no int.
+        for name, types in SCAN_RECORD_FIELDS.items():
+            value = obj[name]
+            if type(value) not in types or (
+                    type(value) is list and any(type(x) is not int for x in value)):
+                raise ParseError(f"{path}: record {obj['key']!r} has a malformed {name}")
         records[obj["key"]] = obj
     return records
 
@@ -278,7 +279,7 @@ def cmd_scan(args) -> int:
     out = open(args.output, "a" if args.resume else "w") if args.output else sys.stdout
     try:
         if args.format == "csv":
-            table = csv.DictWriter(out, fieldnames=SCAN_RECORD_FIELDS)
+            table = csv.DictWriter(out, fieldnames=list(SCAN_RECORD_FIELDS))
 
             def write(r):
                 # csv never resumes, so the first write is the first class;
@@ -305,7 +306,7 @@ def cmd_scan(args) -> int:
             key = encode_key(m.n, m.k, m.rows)
             record = done.get(key)
             if record is None:
-                record = class_record(m, cache, key)[0].to_json()
+                record = class_record(m, cache, key)
                 write(record)
                 out.flush()
             classes += 1
@@ -364,8 +365,6 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    if args.format == "csv":
-        raise ParseError("transform records are nested; use --format json or text")
     g = _load_graph(args.input, args.input_format)
     bg = bipartition(g)
     if bg is None:
@@ -431,25 +430,26 @@ def build_parser() -> argparse.ArgumentParser:
                     " k-regular bipartite scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--cache", help="path of the persistent gamma cache log")
     common.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_PRODUCT_VERTICES)
     common.add_argument("--input-format", choices=("auto", "graph6", "edgelist",
                                                    "biadjacency"), default="auto")
 
-    p = sub.add_parser("gamma", parents=[common],
+    p = sub.add_parser("gamma", parents=[tabular, common],
                        help="exact domination number with bounds")
     p.add_argument("input")
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("check-vizing", parents=[common],
+    p = sub.add_parser("check-vizing", parents=[tabular, common],
                        help="product inequality plus every applicable criterion")
     p.add_argument("g")
     p.add_argument("h")
     p.set_defaults(func=cmd_check_vizing)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[tabular, common],
                        help="exhaustive k-regular bipartite class scan")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " (needs --format json)")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("thresholds", parents=[common],
+    p = sub.add_parser("thresholds", parents=[tabular, common],
                        help="balanced-order thresholds N(k)")
     p.add_argument("kmax", type=int)
     p.add_argument("--paper-table", action="store_true",
@@ -469,6 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", parents=[common],
                        help="iterated leaf attachment trace")
+    # Trace rounds are a list of records, which a csv cell cannot hold.
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("input")
     p.add_argument("--h", help="partner graph file (enables the product check)")
     p.add_argument("--rho-h", help="partner density as p/q (without --h)")

@@ -318,7 +318,8 @@ class GammaCache:
     The whole log is reloaded at startup; writes go through a single writer
     (this object) and are flushed immediately so scans can be resumed.  A
     torn final line is dropped (a torn "key 12" may read "key 1"); any other
-    malformed line is rejected.
+    malformed line, a value that is not a positive integer included, is
+    rejected.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -331,7 +332,7 @@ class GammaCache:
                 if not line:
                     continue
                 key, sep, value = line.rpartition(" ")
-                if not sep:
+                if not sep or not value.isdecimal() or int(value) < 1:
                     raise ValueError(f"{self._path}:{lineno}: malformed cache line")
                 self._values[key] = int(value)
 

@@ -19,8 +19,8 @@ gives its complete scan record: exact gamma, the conjectured bound
 2*ceil(n/k), the order bound 2r, the n = k + 2 structure tag, and the
 rank/cover obstruction report.  ``record_findings`` reads every finding
 off such a record, so a fresh evaluation and a record stored by an earlier
-run report the same findings.  ``scan_conjecture`` and every path of the
-``scan`` command go through these two; violations become findings
+run report the same findings.  The ``scan`` command's one loop over
+``enumerate_kreg`` goes through these two; violations become findings
 instead of being asserted away.
 """
 
@@ -321,34 +321,20 @@ def is_unique_form(m: BiadjacencyMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# scan driver
+# scan records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """Everything a scan knows about one class: its key, gamma, both
-    bounds, structure tag and connectivity, then the fields of its
-    ``rankcheck.ObstructionReport``."""
-
-    key: str
-    n: int
-    k: int
-    gamma: int
-    conj_bound: int
-    order_bound: int | None
-    case: str
-    connected: bool
-    rank: int
-    full_rank: bool
-    m_rows: int
-    m_integral: bool
-    cover_exists: bool
-    cover_witness: tuple[int, ...] | None
-
-    def to_json(self) -> dict:
-        record = asdict(self)
-        record["cover_witness"] = list(self.cover_witness) if self.cover_witness else None
-        return record
+# The fields of a class record, in the order ``class_record`` builds them
+# and ``scan`` writes them, each with the JSON types its value takes (a list
+# holds ints): the key, gamma, both bounds, structure tag and connectivity,
+# then the fields of its ``rankcheck.ObstructionReport``.
+SCAN_RECORD_FIELDS = {
+    "key": (str,), "n": (int,), "k": (int,), "gamma": (int,),
+    "conj_bound": (int,), "order_bound": (int, type(None)), "case": (str,),
+    "connected": (bool,), "rank": (int,), "full_rank": (bool,),
+    "m_rows": (int,), "m_integral": (bool,), "cover_exists": (bool,),
+    "cover_witness": (list, type(None)),
+}
 
 
 @dataclass
@@ -359,22 +345,6 @@ class Finding:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "key": self.key, **self.detail}
-
-
-@dataclass
-class ScanReport:
-    n: int
-    k: int
-    records: list[ScanRecord]
-    findings: list[Finding]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.records)
-
-    @property
-    def max_gamma(self) -> int:
-        return max((r.gamma for r in self.records), default=0)
 
 
 def _case(m: BiadjacencyMatrix) -> str:
@@ -392,7 +362,7 @@ _CASE_GAMMA = {"gamma2": 2, "gamma3": 3, "gamma4-unique-form": 4}
 
 def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
     """Every finding of class ``m``, read off its record (the fields of
-    ``ScanRecord.to_json``), so a stored record gives the same findings as
+    ``SCAN_RECORD_FIELDS``), so a stored record gives the same findings as
     a fresh evaluation.  The obstruction finding comes last."""
     key, gamma, case = record["key"], record["gamma"], record["case"]
     findings: list[Finding] = []
@@ -423,30 +393,16 @@ def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
 
 
 def class_record(m: BiadjacencyMatrix, cache: GammaCache | None = None,
-                 key: str | None = None) -> tuple[ScanRecord, list[Finding]]:
-    """Evaluate one class: its complete record and its findings."""
+                 key: str | None = None) -> dict:
+    """Evaluate one class: its complete record, as ``scan`` writes it."""
     n, k = m.n, m.k
     key = key if key is not None else canonical_key(m)
     bg = to_graph(m)
-    gamma = gamma_value(bg.graph, cache)
-    record = ScanRecord(key, n, k, gamma, conjectured_kreg_bound(n, k),
-                        kreg_order_bound(n, k) if n > max(k, 1) else None,
-                        _case(m), is_connected(bg.graph),
-                        **asdict(obstruction_report(m)))
-    return record, record_findings(m, record.to_json())
-
-
-def scan_conjecture(n: int, k: int, cache: GammaCache | None = None,
-                    allow_large: bool = False) -> ScanReport:
-    """Scan every class at (n, k); violations become findings, never asserts.
-
-    Records come in key order, which is the order ``enumerate_kreg``
-    yields the representatives in.
-    """
-    records: list[ScanRecord] = []
-    findings: list[Finding] = []
-    for m in enumerate_kreg(n, k, allow_large=allow_large):
-        record, found = class_record(m, cache, key=encode_key(n, k, m.rows))
-        records.append(record)
-        findings.extend(found)
-    return ScanReport(n, k, records, findings)
+    record = {"key": key, "n": n, "k": k, "gamma": gamma_value(bg.graph, cache),
+              "conj_bound": conjectured_kreg_bound(n, k),
+              "order_bound": kreg_order_bound(n, k) if n > max(k, 1) else None,
+              "case": _case(m), "connected": is_connected(bg.graph),
+              **asdict(obstruction_report(m))}
+    if record["cover_witness"] is not None:
+        record["cover_witness"] = list(record["cover_witness"])
+    return record

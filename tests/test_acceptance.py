@@ -21,6 +21,7 @@ from domdensity import (
     canonical_key,
     cartesian_product,
     check_vizing,
+    class_record,
     conjectured_kreg_bound,
     degree_lower_bound,
     disjoint_row_cover,
@@ -37,11 +38,11 @@ from domdensity import (
     obstruction_report,
     rank_exact,
     rho,
-    scan_conjecture,
     threshold_condition,
     to_graph,
 )
 from domdensity.catalog import connected_bipartite_graphs, connected_graphs
+from domdensity.enumeration import record_findings
 from domdensity.transform import constructive_inequality_check
 from conftest import random_connected_bipartite
 from test_rankcheck import naive_rank
@@ -89,18 +90,17 @@ def test_criterion_03_block_form_example(block6_matrix, cache):
     g = to_graph(block6_matrix).graph
     assert gamma_value(g, cache) == 4 == gamma_brute(g)
     assert is_unique_form(block6_matrix)
-    report = scan_conjecture(6, 4, cache)
-    gamma4 = [r for r in report.records if r.gamma == 4]
+    records = [class_record(m, cache) for m in enumerate_kreg(6, 4)]
+    gamma4 = [r for r in records if r["gamma"] == 4]
     assert len(gamma4) == 1
-    assert gamma4[0].key == canonical_key(block6_matrix)
-    assert gamma4[0].case == "gamma4-unique-form"
+    assert gamma4[0]["key"] == canonical_key(block6_matrix)
+    assert gamma4[0]["case"] == "gamma4-unique-form"
     _finish(3, "triple-block (6,4) example and scan", started, 30.0)
 
 
 def test_criterion_04_small_balanced_cases(cache):
     started = time.perf_counter()
     from domdensity import unique_form_matrix
-    from domdensity import class_record
     cells = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5),
              (3, 5), (4, 6), (5, 7), (6, 8)]  # (k, n)
     for k, n in cells:
@@ -108,16 +108,17 @@ def test_criterion_04_small_balanced_cases(cache):
         seen_any = False
         for matrix in enumerate_kreg(n, k, allow_large=n == 8):
             seen_any = True
-            record, findings = class_record(matrix, cache)
+            record = class_record(matrix, cache)
+            findings = record_findings(matrix, record)
             assert not findings, (k, n, findings)
             if n <= k + 1:
-                assert record.gamma == 2, (k, n, record.key)
+                assert record["gamma"] == 2, (k, n, record["key"])
                 continue
             assert n == k + 2
-            assert record.gamma in (3, 4)
-            assert (record.gamma == 4) == is_unique_form(matrix)
-            if record.gamma == 4:
-                gamma4.append(record.key)
+            assert record["gamma"] in (3, 4)
+            assert (record["gamma"] == 4) == is_unique_form(matrix)
+            if record["gamma"] == 4:
+                gamma4.append(record["key"])
         assert seen_any
         if n == k + 2:
             if n % 2 == 0:
@@ -133,8 +134,9 @@ def test_criterion_05_conjecture_scan_to_7(cache):
     confirmed = []
     for n in range(1, 8):
         for k in range(1, n + 1):
-            report = scan_conjecture(n, k, cache)
-            for finding in report.findings:
+            findings = [f for m in enumerate_kreg(n, k)
+                        for f in record_findings(m, class_record(m, cache))]
+            for finding in findings:
                 if finding.kind != "conjecture-bound":
                     continue
                 # guard against solver bugs: only an oracle-confirmed

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from domdensity import cli, emit_graph6, scan_conjecture, star, transform
+from domdensity import cli, emit_graph6, enumeration, star, transform
 from domdensity.domination import _Search
 from domdensity.cli import (
     EXIT_CAPACITY,
@@ -17,6 +17,8 @@ from domdensity.cli import (
     main,
 )
 from conftest import RANK6_ROWS
+
+EMPTY = hashlib.sha256(b"").hexdigest()
 
 
 @pytest.fixture
@@ -267,18 +269,97 @@ class TestScan:
             assert main(argv + [str(part), "--resume"]) == EXIT_OK
             assert part.read_bytes() == full.read_bytes()
 
-    def test_library_scan_reports_the_cli_findings(self, capsys):
-        assert main(["scan", "4", "1", "--format", "json"]) == EXIT_FINDING
-        err = capsys.readouterr().err.splitlines()
-        expected = [f"FINDING: {json.dumps(f.to_json(), sort_keys=True)}"
-                    for f in scan_conjecture(4, 1).findings]
-        assert err == expected and len(expected) == 1
+    # sha256 of stdout and of stderr, and the exit status, of `scan N K`.
+    @pytest.mark.parametrize("n, k, fmt, status, out, err", [
+        (4, 1, "json", EXIT_FINDING,
+         "9dac85635ed9d9232cf485167821475db3910d249d71959199c38b44e9f4b79a",
+         "1424d45d76a864c5f82184fb8c51a6c2c0092664380c8154983ac3a9e5045723"),
+        (4, 1, "csv", EXIT_FINDING,
+         "188deb59af667bf70667a83ba04c77251f45b597543243bd1b35ab8ca3c1e930",
+         "ecfcfa625511c18ec22a77888d31d6f06ee7a26de3206fcb2b2af46631ac55c9"),
+        (4, 1, "text", EXIT_FINDING,
+         "4b68ac6e242eed4488405998689be7c35426afb30294e7960ad96232f6604add",
+         "1424d45d76a864c5f82184fb8c51a6c2c0092664380c8154983ac3a9e5045723"),
+        (5, 3, "json", EXIT_OK,
+         "2c8173e8d979838e20fed4244f7092c290c76e3faf7ded875adbca3c2a0f3fba", EMPTY),
+        (5, 3, "csv", EXIT_OK,
+         "fcd2d6066add74d6fd06ae333caa83e6edc0592f6bdef31c711a045074b8e6fd",
+         "4bd474527a1cd8bb2b22af16a87cc1978f975b27086152f58c2a0a51093b8f7d"),
+        (5, 3, "text", EXIT_OK,
+         "f381d8f65d225ec270e5cfa540ad1d70f52f5a04ac8fdf32ff88c6d54513351e", EMPTY),
+        (6, 3, "json", EXIT_OK,
+         "d8d9477de56c635ea42f1b885c9badb8f8606d42c1de8048afabd8ce912ec443", EMPTY),
+        (6, 3, "csv", EXIT_OK,
+         "ebb345da0a6f76b01af9c781907c002a74cb5fb2bc9b67d55b032cde0671b672",
+         "55d7a5cffb24d40403b660a33771ae6553eb925ca622512317cc5b5c3b6ddeb6"),
+        (6, 3, "text", EXIT_OK,
+         "b884c195506c3be194001677fe9969b230041f219f2d80c7bef6324693174ac7", EMPTY),
+        (6, 4, "json", EXIT_OK,
+         "a31f75b865771135a451dd8fa285d3c47c1945ed4aeeb875386bf8e5246e7e4b", EMPTY),
+        (6, 4, "csv", EXIT_OK,
+         "b4b7f3ca3a2d74f0f073e51b8665c837bc3b585babed7a97dc2ac74e7d8ed021",
+         "6c75f77b797fe7290c679d061f17baf31af7ae16276043294bb03fc48af8a80d"),
+        (6, 4, "text", EXIT_OK,
+         "ecdc5bef0a39198bf95df9e42b8e7203457bbe1962e915557ef4cf6ee217fd7a", EMPTY),
+    ])
+    def test_scan_output_is_pinned(self, capsys, n, k, fmt, status, out, err):
+        assert main(["scan", str(n), str(k), "--format", fmt]) == status
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == out
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == err
+        if (n, k) == (4, 1):
+            finding = captured.err.splitlines()[-1]
+            assert finding.startswith("FINDING: ") and '"obstruction"' in finding
+            assert captured.err.count("FINDING: ") == 1
 
-    @pytest.mark.parametrize("n,k", [(4, 1), (5, 3), (6, 3)])
-    def test_library_scan_gives_the_cli_records(self, capsys, n, k):
-        main(["scan", str(n), str(k), "--format", "json"])
-        lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
-        assert lines[:-1] == [r.to_json() for r in scan_conjecture(n, k).records]
+    def test_each_class_is_evaluated_once(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        findings = counted("record_findings", enumeration.record_findings)
+        monkeypatch.setattr(enumeration, "record_findings", findings)
+        monkeypatch.setattr(cli, "record_findings", findings)
+        monkeypatch.setattr(cli, "class_record",
+                            counted("class_record", enumeration.class_record))
+        assert main(["scan", "6", "3", "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["classes"] == 7
+        assert calls == {"record_findings": 7, "class_record": 7}
+
+    @pytest.mark.parametrize("edit", [
+        {"gamma": "x"}, {"key": ["x"]}, {"full_rank": "no", "cover_exists": "yes"},
+    ], ids=["gamma", "key", "flags"])
+    def test_resume_rejects_a_mistyped_record(self, tmp_path, capsys, edit):
+        out = tmp_path / "scan.jsonl"
+        argv = ["scan", "4", "2", "--format", "json", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        first, *rest = out.read_text().splitlines(keepends=True)
+        out.write_text(json.dumps({**json.loads(first), **edit}, sort_keys=True)
+                       + "\n" + "".join(rest))
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {out}: record ")
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_scan_rejects_a_cached_value_that_is_no_positive_integer(
+            self, tmp_path, capsys, value):
+        cache = tmp_path / "C"
+        argv = ["scan", "5", "2", "--format", "json", "--cache", str(cache)]
+        assert main(argv) == EXIT_OK
+        keys = [ln.rpartition(" ")[0] for ln in cache.read_text().splitlines()]
+        assert len(keys) == 2
+        cache.write_text("".join(f"{key} {value}\n" for key in keys))
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {cache}:1: malformed cache line\n"
 
     def test_scan_csv(self, capsys):
         assert main(["scan", "3", "2", "--format", "csv"]) == EXIT_OK
@@ -337,12 +418,12 @@ class TestTransform:
         def load(*args):
             raise AssertionError("csv is refused before any input is read")
         monkeypatch.setattr(cli, "_load_graph", load)
-        assert main(["transform", c4_file, "--h", c4_file,
-                     "--format", "csv"]) == EXIT_INPUT
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", c4_file, "--h", c4_file, "--format", "csv"])
+        assert exc.value.code == EXIT_INPUT
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("input error: transform records are nested;"
-                       " use --format json or text\n")
+        assert "invalid choice" in err
 
     def test_missing_parameters_rejected(self, c4_file):
         assert main(["transform", c4_file]) == EXIT_INPUT

@@ -1,5 +1,5 @@
 """k-regular bipartite enumeration: completeness against an independent
-orbit quotient, canonical keys, classification, and the scan driver."""
+orbit quotient, canonical keys, classification, and the class records."""
 
 import hashlib
 import random
@@ -20,11 +20,10 @@ from domdensity import (
     gamma_value,
     is_unique_form,
     parse_biadjacency,
-    scan_conjecture,
     to_graph,
     unique_form_matrix,
 )
-from domdensity.enumeration import encode_key, record_findings
+from domdensity.enumeration import SCAN_RECORD_FIELDS, encode_key, record_findings
 from conftest import BLOCK6_ROWS, RANK6_ROWS
 
 # (n, k) -> (class count, sha256 of the sorted canonical keys joined by
@@ -302,22 +301,22 @@ class TestEnumerate:
 
 class TestKPlus2Structure:
     def test_block_form_classifies_gamma4(self, block6_matrix):
-        record, findings = class_record(block6_matrix)
-        assert record.case == "gamma4-unique-form" and record.gamma == 4
-        assert findings == []
+        record = class_record(block6_matrix)
+        assert record["case"] == "gamma4-unique-form" and record["gamma"] == 4
+        assert record_findings(block6_matrix, record) == []
         assert is_unique_form(block6_matrix)
 
     def test_5_3_classes_are_gamma3(self):
         for m in enumerate_kreg(5, 3):
-            record, findings = class_record(m)
-            assert record.case == "gamma3" and record.gamma == 3
-            assert findings == []
+            record = class_record(m)
+            assert record["case"] == "gamma3" and record["gamma"] == 3
+            assert record_findings(m, record) == []
             assert gamma_brute(to_graph(m).graph) == 3
             assert not is_unique_form(m)
 
     def test_case_is_other_off_the_shape(self, rank6_matrix):
         # n = 6 is neither k + 1 nor k + 2 for k = 3
-        assert class_record(rank6_matrix)[0].case == "other"
+        assert class_record(rank6_matrix)["case"] == "other"
 
     def test_unique_form_false_outside_shape(self, rank6_matrix):
         assert not is_unique_form(rank6_matrix)  # n is not k + 2
@@ -326,57 +325,57 @@ class TestKPlus2Structure:
     def test_unique_form_at_8(self):
         m = unique_form_matrix(8)
         assert is_unique_form(m)
-        record, findings = class_record(m)
-        assert record.case == "gamma4-unique-form" and record.gamma == 4
-        assert findings == []
+        record = class_record(m)
+        assert record["case"] == "gamma4-unique-form" and record["gamma"] == 4
+        assert record_findings(m, record) == []
 
 
 class TestScan:
     def test_scan_6_4_unique_gamma4_class(self, block6_matrix):
-        report = scan_conjecture(6, 4)
-        gamma4 = [r for r in report.records if r.gamma == 4]
+        classes = list(enumerate_kreg(6, 4))
+        records = [class_record(m) for m in classes]
+        gamma4 = [r for r in records if r["gamma"] == 4]
         assert len(gamma4) == 1
-        assert gamma4[0].case == "gamma4-unique-form"
-        assert gamma4[0].key == canonical_key(block6_matrix)
-        assert not report.findings
+        assert gamma4[0]["case"] == "gamma4-unique-form"
+        assert gamma4[0]["key"] == canonical_key(block6_matrix)
+        assert not [f for m, r in zip(classes, records) for f in record_findings(m, r)]
 
     def test_scan_6_3_includes_worked_example(self, rank6_matrix):
-        report = scan_conjecture(6, 3)
-        assert report.max_gamma == 4
+        records = [class_record(m) for m in enumerate_kreg(6, 3)]
+        assert max(r["gamma"] for r in records) == 4
         key = canonical_key(rank6_matrix)
-        record = next(r for r in report.records if r.key == key)
-        assert record.gamma == 4 and record.conj_bound == 4
-        assert record.connected
+        record = next(r for r in records if r["key"] == key)
+        assert record["gamma"] == 4 and record["conj_bound"] == 4
+        assert record["connected"]
 
     def test_scan_k_equals_n(self):
         for k in (2, 3, 4):
-            report = scan_conjecture(k, k)
-            assert report.class_count == 1
-            assert report.records[0].gamma == 2
-            assert report.records[0].case == "gamma2"
+            records = [class_record(m) for m in enumerate_kreg(k, k)]
+            assert len(records) == 1
+            assert records[0]["gamma"] == 2
+            assert records[0]["case"] == "gamma2"
 
     def test_record_schema(self):
-        report = scan_conjecture(4, 2)
-        payload = report.records[0].to_json()
+        payload = class_record(next(enumerate_kreg(4, 2)))
         assert list(payload) == ["key", "n", "k", "gamma", "conj_bound",
                                  "order_bound", "case", "connected",
                                  "rank", "full_rank", "m_rows", "m_integral",
                                  "cover_exists", "cover_witness"]
+        assert list(payload) == list(SCAN_RECORD_FIELDS)
 
     def test_order_bound_none_at_n_equals_k(self):
-        report = scan_conjecture(3, 3)
-        assert report.records[0].order_bound is None
+        assert class_record(next(enumerate_kreg(3, 3)))["order_bound"] is None
 
     def test_records_sorted_and_deterministic(self):
-        a = scan_conjecture(5, 2)
-        b = scan_conjecture(5, 2)
-        assert [r.key for r in a.records] == sorted(r.key for r in a.records)
-        assert a.records == b.records
+        a = [class_record(m) for m in enumerate_kreg(5, 2)]
+        b = [class_record(m) for m in enumerate_kreg(5, 2)]
+        assert [r["key"] for r in a] == sorted(r["key"] for r in a)
+        assert a == b
 
     def test_record_findings_reports_misclassification(self, block6_matrix):
         # the solver cannot be made to lie, so hand record_findings a record
         # whose gamma contradicts its case
-        record = class_record(block6_matrix)[0].to_json()
+        record = class_record(block6_matrix)
         assert record["case"] == "gamma4-unique-form"
         findings = record_findings(block6_matrix, {**record, "gamma": 3})
         assert [(f.kind, f.key, f.detail) for f in findings] == [
