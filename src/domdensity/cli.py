@@ -23,7 +23,13 @@ from .criteria import (
     threshold_condition,
 )
 from .density import density_vizing_check
-from .domination import GammaCache, _complete_lines, check_vizing, gamma_exact
+from .domination import (
+    GammaCache,
+    _complete_lines,
+    _cut_torn_tail,
+    check_vizing,
+    gamma_exact,
+)
 from .enumeration import (
     SCAN_RECORD_FIELDS,
     # Unused here: bench/test_bench.py::test_traced_generator_and_rebinding
@@ -240,11 +246,14 @@ def cmd_check_vizing(args) -> int:
     return EXIT_OK
 
 
-def _scanned_records(path: str) -> dict[str, dict]:
+def _scanned_records(path: str, n: int, k: int) -> dict[str, dict]:
     """Class records already written to a JSON-lines scan output, by key.
 
-    A torn final line is cut off the file, so the resumed run scans that
-    class again and appends its record on a line of its own.
+    Every stored record must belong to the scanned (n, k) cell and carry a
+    gamma in 1..n: side X dominates a k-regular bipartite graph, k >= 1.
+    Once all complete lines are accepted, a torn final line is cut off the
+    file, so the resumed run scans that class again and appends its record
+    on a line of its own.
     """
     try:
         complete = _complete_lines(path)
@@ -267,14 +276,19 @@ def _scanned_records(path: str) -> dict[str, dict]:
             if type(value) not in types or (
                     type(value) is list and any(type(x) is not int for x in value)):
                 raise ParseError(f"{path}: record {obj['key']!r} has a malformed {name}")
+        for name, ok in (("n", obj["n"] == n), ("k", obj["k"] == k),
+                         ("gamma", 1 <= obj["gamma"] <= n)):
+            if not ok:
+                raise ParseError(f"{path}: record {obj['key']!r} has a malformed {name}")
         records[obj["key"]] = obj
+    _cut_torn_tail(path, complete)
     return records
 
 
 def cmd_scan(args) -> int:
     if args.resume and (not args.output or args.format != "json"):
         raise ParseError("--resume needs --output and --format json")
-    done = _scanned_records(args.output) if args.resume else {}
+    done = _scanned_records(args.output, args.n, args.k) if args.resume else {}
     cache = GammaCache(args.cache) if args.cache else None
     out = open(args.output, "a" if args.resume else "w") if args.output else sys.stdout
     try:

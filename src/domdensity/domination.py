@@ -31,6 +31,7 @@ vertices in ascending order, each probe a descent with ``goal`` = gamma and
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import or_
@@ -259,9 +260,31 @@ def gamma_value(g: Graph, cache: "GammaCache | None" = None) -> int:
 
 
 def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, DominatingSet]:
-    """Domination number together with the deterministic lex-min witness."""
-    value = gamma_value(g, cache)
-    witness = _Search(g).lexmin_witness(value)
+    """Domination number together with the deterministic lex-min witness.
+
+    A witness stored in the cache is checked with ``is_dominating`` and
+    returned without a search; otherwise one ``_Search`` runs whichever of
+    the value pass and the witness pass the cache does not answer, and the
+    witness is stored beside the value.
+    """
+    key = value = witness = None
+    if cache is not None:
+        key = graph_key(g)
+        value = cache.get(key)
+        witness = cache.witness(key)
+    if witness is not None:
+        # is_dominating raises PreconditionError, a ValueError, on a vertex
+        # outside the graph.
+        if not is_dominating(g, witness):
+            raise ValueError(f"cached witness mask {witness:x} does not dominate this"
+                             " graph (a wrong gamma cache entry?)")
+        return value, DominatingSet.from_mask(witness)
+    search = _Search(g)
+    if value is None:
+        value = search.minimum_size(search.greedy_cover())
+    witness = search.lexmin_witness(value)
+    if cache is not None:
+        cache.put(key, value, witness)
     return value, DominatingSet.from_mask(witness)
 
 
@@ -302,39 +325,59 @@ def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None,
 def _complete_lines(path: str | Path) -> bytes:
     """The contents of an append-only log up to its last newline.
 
-    A final line without its newline is the torn write of a killed run; it
-    is cut off the file, so the next append starts a line of its own.
+    A final line without its newline is the torn write of a killed run.
+    It is left on disk until the caller has accepted every complete line;
+    then ``_cut_torn_tail`` removes it.
     """
     data = Path(path).read_bytes()
-    end = data.rfind(b"\n") + 1
-    if end < len(data):
-        os.truncate(path, end)
-    return data[:end]
+    return data[:data.rfind(b"\n") + 1]
+
+
+def _cut_torn_tail(path: str | Path, complete: bytes):
+    """Cut the file back to ``complete``, so the next append starts a line."""
+    if Path(path).stat().st_size > len(complete):
+        os.truncate(path, len(complete))
 
 
 class GammaCache:
-    """Persistent gamma cache: an append-only text log of "key value" lines.
+    """Persistent gamma cache: an append-only text log, one graph per line.
 
-    The whole log is reloaded at startup; writes go through a single writer
-    (this object) and are flushed immediately so scans can be resumed.  A
-    torn final line is dropped (a torn "key 12" may read "key 1"); any other
-    malformed line, a value that is not a positive integer included, is
-    rejected.
+    A line is "key value" or "key value mask", the mask being the graph's
+    lex-min minimum dominating set in lowercase hex.  A key may recur (a
+    value line, then the line that adds its mask), but every line of a key
+    must agree.  The whole log is reloaded at startup; writes go through a
+    single writer (this object) and are flushed immediately so scans can be
+    resumed.  A torn final line is dropped (a torn "key 12" may read
+    "key 1"), once every complete line has been accepted; any other
+    malformed line, a value that is not a positive integer or a mask whose
+    size is not the value included, is rejected.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._values: dict[str, int] = {}
+        self._witnesses: dict[str, int] = {}
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
-            lines = _complete_lines(self._path).decode().splitlines()
-            for lineno, line in enumerate(lines, 1):
-                line = line.strip()
-                if not line:
+            complete = _complete_lines(self._path)
+            for lineno, line in enumerate(complete.decode().splitlines(), 1):
+                fields = line.split()
+                if not fields:
                     continue
-                key, sep, value = line.rpartition(" ")
-                if not sep or not value.isdecimal() or int(value) < 1:
-                    raise ValueError(f"{self._path}:{lineno}: malformed cache line")
-                self._values[key] = int(value)
+                where = f"{self._path}:{lineno}"
+                if not 2 <= len(fields) <= 3 or not fields[1].isdecimal() \
+                        or int(fields[1]) < 1:
+                    raise ValueError(f"{where}: malformed cache line")
+                key, value = fields[0], int(fields[1])
+                if len(fields) == 3:
+                    hex_mask = re.fullmatch("[0-9a-f]+", fields[2])
+                    witness = int(fields[2], 16) if hex_mask else 0
+                    if witness.bit_count() != value:
+                        raise ValueError(f"{where}: malformed cache line")
+                    if self._witnesses.setdefault(key, witness) != witness:
+                        raise ValueError(f"{where}: conflicting cache line")
+                if self._values.setdefault(key, value) != value:
+                    raise ValueError(f"{where}: conflicting cache line")
+            _cut_torn_tail(self._path, complete)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -342,15 +385,22 @@ class GammaCache:
     def get(self, key: str) -> int | None:
         return self._values.get(key)
 
-    def put(self, key: str, value: int):
+    def witness(self, key: str) -> int | None:
+        return self._witnesses.get(key)
+
+    def put(self, key: str, value: int, witness: int | None = None):
         known = self._values.get(key)
-        if known is not None:
-            if known != value:
-                raise RuntimeError(
-                    f"cache inconsistency for {key!r}: {known} vs {value}")
+        if known is not None and known != value:
+            raise RuntimeError(
+                f"cache inconsistency for {key!r}: {known} vs {value}")
+        if known is not None and (witness is None or key in self._witnesses):
             return
         self._values[key] = value
+        line = f"{key} {value}"
+        if witness is not None:
+            self._witnesses[key] = witness
+            line += f" {witness:x}"
         if self._path is not None:
             with self._path.open("a") as fh:
-                fh.write(f"{key} {value}\n")
+                fh.write(line + "\n")
                 fh.flush()

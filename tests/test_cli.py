@@ -42,6 +42,13 @@ def c4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def c5_file(tmp_path):
+    path = tmp_path / "c5.edges"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    return str(path)
+
+
 class TestInputDetection:
     def test_autodetects_each_format(self, rank6_matrix):
         assert load_graph_text("0 1\n1 2\n").n == 3
@@ -346,6 +353,27 @@ class TestScan:
         assert capsys.readouterr().err.startswith(f"input error: {out}: record ")
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("edit, field", [
+        ({"gamma": 0}, "gamma"), ({"gamma": 7}, "gamma"), ({"n": 7}, "n"), ({"k": 2}, "k"),
+    ])
+    def test_resume_rejects_a_record_outside_the_cell(self, tmp_path, capsys,
+                                                      edit, field):
+        # 1 <= gamma <= n: side X dominates every k-regular class, k >= 1.
+        out = tmp_path / "scan.jsonl"
+        argv = ["scan", "6", "3", "--format", "json", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        records = [json.loads(ln) for ln in out.read_text().splitlines()[:-1]]
+        out.write_text("".join(json.dumps({**r, **edit}, sort_keys=True) + "\n"
+                               for r in records))
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == EXIT_INPUT
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == (f"input error: {out}: record {records[0]['key']!r} "
+                       f"has a malformed {field}\n")
+        assert out.read_bytes() == before
+
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
     def test_scan_rejects_a_cached_value_that_is_no_positive_integer(
             self, tmp_path, capsys, value):
@@ -486,7 +514,8 @@ def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
                                               command, wrong):
     cache = tmp_path / "gamma.cache"
     assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_OK
-    key, value = cache.read_text().split()
+    # a bare value line, as scan writes it: the witness search meets it
+    key, value, _witness = cache.read_text().split()
     assert value == "2"
     cache.write_text(f"{key} {wrong}\n")
     capsys.readouterr()
@@ -509,3 +538,100 @@ def test_unopenable_path_is_an_input_error(tmp_path, c4_file, capsys, argv):
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("command, first", [
+    (["gamma", "C4", "--cache", "LOG"], b"Cl x\n"),
+    (["scan", "4", "2", "--format", "json", "--output", "LOG", "--resume"],
+     b'{"key": "4.2.33cc", "gamma": "x"}\n'),
+], ids=["cache", "resume"])
+def test_failed_load_keeps_the_torn_tail(tmp_path, c4_file, capsys, command, first):
+    # The torn tail is cut only once every complete line has been accepted.
+    log = tmp_path / "log"
+    log.write_bytes(first + b"x" * 30)
+    before = log.read_bytes()
+    argv = [{"LOG": str(log), "C4": c4_file}.get(a, a) for a in command]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert log.read_bytes() == before
+
+
+def test_conflicting_cache_lines_are_an_input_error(tmp_path, c4_file, capsys):
+    cache = tmp_path / "gamma.cache"
+    cache.write_text("Cl 3\nCl 2\n")
+    assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {cache}:2: conflicting cache line\n"
+
+
+def test_warm_read_builds_no_search(tmp_path, c4_file, c5_file, capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(_Search, "__init__", counted("init", _Search.__init__))
+    monkeypatch.setattr(_Search, "lexmin_witness",
+                        counted("witness", _Search.lexmin_witness))
+    argv = ["check-vizing", c4_file, c5_file, "--cache", str(tmp_path / "W")]
+    assert main(argv) == EXIT_OK
+    assert calls == {"init": 3, "witness": 3}
+    calls.clear()
+    assert main(argv) == EXIT_OK
+    assert calls == {}
+
+
+@pytest.mark.parametrize("mask, error", [
+    ("xyz", ":1: malformed cache line"),
+    ("7", ":1: malformed cache line"),
+    ("3", "does not dominate"),  # {0, 1} misses vertex 3 of C5
+    ("21", "outside the vertex set"),  # vertex 5 is not in C5
+])
+def test_bad_cached_witness_is_an_input_error(tmp_path, c5_file, capsys, mask, error):
+    cache = tmp_path / "gamma.cache"
+    assert main(["gamma", c5_file, "--cache", str(cache)]) == EXIT_OK
+    key, value, _witness = cache.read_text().split()
+    assert value == "2"
+    cache.write_text(f"{key} 2 {mask}\n")
+    capsys.readouterr()
+    assert main(["gamma", c5_file, "--cache", str(cache)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and error in err
+
+
+def test_value_only_log_gains_one_witness_line_per_graph(tmp_path, c4_file, c5_file,
+                                                         capsys):
+    cache = tmp_path / "gamma.cache"
+    argv = ["check-vizing", c4_file, c5_file, "--cache", str(cache)]
+    assert main(argv) == EXIT_OK
+    cold = capsys.readouterr().out
+    full = cache.read_text().splitlines()
+    assert len(full) == 3 and all(len(line.split()) == 3 for line in full)
+    bare = [line.rpartition(" ")[0] for line in full]
+    cache.write_text("".join(line + "\n" for line in bare))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == cold
+    assert cache.read_text().splitlines() == bare + full
+    grown = cache.read_bytes()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == cold
+    assert cache.read_bytes() == grown
+
+
+@pytest.mark.parametrize("graph", ["C4", "C5", "RANK6"])
+def test_stdout_is_the_same_cold_and_warm(tmp_path, c4_file, c5_file, rank6_file,
+                                          capsys, graph):
+    files = {"C4": c4_file, "C5": c5_file, "RANK6": rank6_file}
+    commands = [["gamma", files[graph]], ["check-vizing", files[graph], c4_file]]
+    if graph != "C5":  # transform takes a bipartite graph
+        commands.append(["transform", files[graph], "--h", c5_file])
+    for argv in commands:
+        runs = []
+        for cache in ([], ["--cache", str(tmp_path / "W")], ["--cache", str(tmp_path / "W")]):
+            assert main([*argv, *cache]) == EXIT_OK
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1] == runs[2], argv

@@ -243,6 +243,41 @@ class TestGammaCache:
         assert path.read_text() == "Cl 2\nCm 12\n"
         assert GammaCache(path).get("Cm") == 12
 
+    @pytest.mark.parametrize("text, error", [
+        ("Cl 3\nCl 2\n", ":2: conflicting cache line"),
+        ("Cl 2 3\nCl 2 5\n", ":2: conflicting cache line"),
+        ("Cl 2\nCl 3 7\n", ":2: conflicting cache line"),
+        ("Cl 2 3 3\n", ":1: malformed cache line"),
+        ("Cl 2 0x3\n", ":1: malformed cache line"),
+        ("Cl 2 3A\n", ":1: malformed cache line"),
+        ("Cl 2 7\n", ":1: malformed cache line"),
+    ])
+    def test_inconsistent_or_malformed_lines_rejected(self, tmp_path, text, error):
+        path = tmp_path / "gamma.cache"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=error):
+            GammaCache(path)
+
+    def test_logged_witness_is_the_uncached_one(self, tmp_path):
+        rng = random.Random(1010)
+        graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+        graphs += [random_graph(rng, rng.randrange(1, 15), rng.uniform(0.1, 0.9))
+                   for _ in range(200)]
+        expected = {graph_key(g): gamma_exact(g) for g in graphs}
+        path = tmp_path / "gamma.cache"
+        cache = GammaCache(path)
+        for g in graphs:
+            assert gamma_exact(g, cache) == expected[graph_key(g)]
+        lines = [line.split() for line in path.read_text().splitlines()]
+        assert len(lines) == len(expected)
+        for key, value, mask in lines:
+            gamma, witness = expected[key]
+            assert (int(value), int(mask, 16)) == (gamma, witness.vertices)
+        reloaded = GammaCache(path)
+        for g in graphs:
+            assert gamma_exact(g, reloaded) == expected[graph_key(g)]
+        assert path.read_text().count("\n") == len(expected)
+
     def test_in_memory_mode(self):
         cache = GammaCache()
         assert gamma_value(star(4), cache) == 1
