@@ -6,7 +6,6 @@ from .criteria import (
     REFERENCE_NK,
     CriterionVerdict,
     ThresholdEntry,
-    ThresholdTable,
     bipartition_upper_bound,
     build_threshold_table,
     conjectured_kreg_bound,
@@ -18,9 +17,8 @@ from .criteria import (
     min_threshold_order,
     threshold_condition,
 )
-from .density import Density, as_fraction, density_vizing_check, rho
+from .density import Density, density_vizing_check, rho
 from .domination import (
-    DominatingSet,
     GammaCache,
     VizingReport,
     check_vizing,
@@ -44,7 +42,6 @@ from .graphs import (
     DEFAULT_MAX_PRODUCT_VERTICES,
     BipartiteGraph,
     Graph,
-    LabeledProduct,
     attach_leaves,
     bipartition,
     canonical_form,

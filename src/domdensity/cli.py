@@ -47,6 +47,7 @@ from .graphs import (
     DEFAULT_MAX_PRODUCT_VERTICES,
     Graph,
     bipartition,
+    bit_list,
     is_connected,
     max_degree,
     parse_edge_list,
@@ -148,7 +149,7 @@ def cmd_gamma(args) -> int:
     record = {
         "n": g.n,
         "gamma": gamma,
-        "witness": witness.members(),
+        "witness": bit_list(witness),
         "degree_lower_bound": degree_lower_bound(g),
         "connected": is_connected(g),
     }
@@ -165,7 +166,7 @@ def cmd_gamma(args) -> int:
         record["bipartite"] = bg is not None
     if args.format == "text":
         print(f"gamma = {gamma}")
-        print(f"witness = {witness.members()}")
+        print(f"witness = {record['witness']}")
         print(f"degree lower bound = {record['degree_lower_bound']}")
         if record.get("bipartition_upper_bound") is not None:
             print(f"bipartition upper bound = {record['bipartition_upper_bound']}")
@@ -191,8 +192,10 @@ def cmd_check_vizing(args) -> int:
     if bg is not None and bh is not None and bg.size_a > 0 and bh.size_a > 0:
         criteria.append(imbalance_criterion(bg, bh).to_json())
     else:
+        # Side A is empty exactly when a graph has no edges.
+        why = "is not bipartite" if bg is None or bh is None else "has no edges"
         criteria.append({"name": "imbalance", "satisfied": None,
-                         "note": "not applicable: a factor is not bipartite"})
+                         "note": f"not applicable: a factor {why}"})
     kg, kh = _regular_degree(g), _regular_degree(h)
     balanced = (bg is not None and bh is not None
                 and bg.size_a == bg.size_b and bh.size_a == bh.size_b)
@@ -216,9 +219,9 @@ def cmd_check_vizing(args) -> int:
         "gamma_product": report.gamma_product,
         "holds": report.holds,
         "density_form_holds": density_ok,
-        "witness_g": report.witness_g.members(),
-        "witness_h": report.witness_h.members(),
-        "witness_product": report.witness_product.members(),
+        "witness_g": bit_list(report.witness_g),
+        "witness_h": bit_list(report.witness_h),
+        "witness_product": bit_list(report.witness_product),
         "criteria": criteria,
         "literature": literature,
     }
@@ -249,24 +252,33 @@ def cmd_check_vizing(args) -> int:
 def _scanned_records(path: str, n: int, k: int) -> dict[str, dict]:
     """Class records already written to a JSON-lines scan output, by key.
 
-    Every stored record must belong to the scanned (n, k) cell and carry a
+    Every complete line must be a class record or a summary of the scanned
+    (n, k) cell.  Every stored record must belong to that cell and carry a
     gamma in 1..n: side X dominates a k-regular bipartite graph, k >= 1.
     Once all complete lines are accepted, a torn final line is cut off the
     file, so the resumed run scans that class again and appends its record
-    on a line of its own.
+    on a line of its own.  A summary on the last complete line is cut with
+    it (an earlier one is skipped), so resuming a complete output rewrites
+    the same bytes.
     """
     try:
         complete = _complete_lines(path)
     except FileNotFoundError:
         return {}
     records = {}
-    for line in complete.decode(errors="replace").splitlines():
+    lines = complete.split(b"\n")[:-1]
+    for lineno, line in enumerate(lines, 1):
         try:
-            obj = json.loads(line)
+            obj = json.loads(line.decode(errors="replace"))
         except json.JSONDecodeError:
+            obj = None
+        if isinstance(obj, dict) and obj.get("type") == "summary" \
+                and (obj.get("n"), obj.get("k")) == (n, k):
+            if lineno == len(lines):
+                complete = complete[:-len(line) - 1]
             continue
         if not isinstance(obj, dict) or "key" not in obj:
-            continue
+            raise ParseError(f"{path}:{lineno}: not a scan record")
         missing = [f for f in SCAN_RECORD_FIELDS if f not in obj]
         if missing:
             raise ParseError(f"{path}: record {obj['key']!r} lacks {', '.join(missing)}")
@@ -345,16 +357,16 @@ def cmd_scan(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    table = build_threshold_table(args.kmax)
     records = []
-    for k in sorted(table.entries):
-        entry = table.entries[k]
-        reference = REFERENCE_NK.get(k)
+    for entry in build_threshold_table(args.kmax):
+        reference = REFERENCE_NK.get(entry.k)
         record = {
-            "k": k,
+            "k": entry.k,
             "n_threshold": entry.n_min,
             "boundary": entry.boundary,
-            "auto_regime": table.auto_regime is not None and k >= table.auto_regime,
+            # The condition only loosens as n grows, so N(k) = k means
+            # that every n >= k satisfies it.
+            "auto_regime": entry.n_min == entry.k,
         }
         if args.paper_table:
             record["reference"] = reference
@@ -446,24 +458,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     tabular = argparse.ArgumentParser(add_help=False)
     tabular.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", help="path of the persistent gamma cache log")
-    common.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_PRODUCT_VERTICES)
-    common.add_argument("--input-format", choices=("auto", "graph6", "edgelist",
-                                                   "biadjacency"), default="auto")
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--cache", help="path of the persistent gamma cache log")
+    graph_files = argparse.ArgumentParser(add_help=False)
+    graph_files.add_argument("--input-format", choices=("auto", "graph6", "edgelist",
+                                                        "biadjacency"), default="auto")
+    products = argparse.ArgumentParser(add_help=False)
+    products.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_PRODUCT_VERTICES)
 
-    p = sub.add_parser("gamma", parents=[tabular, common],
+    p = sub.add_parser("gamma", parents=[tabular, cached, graph_files],
                        help="exact domination number with bounds")
     p.add_argument("input")
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("check-vizing", parents=[tabular, common],
+    p = sub.add_parser("check-vizing", parents=[tabular, cached, graph_files, products],
                        help="product inequality plus every applicable criterion")
     p.add_argument("g")
     p.add_argument("h")
     p.set_defaults(func=cmd_check_vizing)
 
-    p = sub.add_parser("scan", parents=[tabular, common],
+    p = sub.add_parser("scan", parents=[tabular, cached],
                        help="exhaustive k-regular bipartite class scan")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
@@ -474,14 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
                         " (needs --format json)")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("thresholds", parents=[tabular, common],
+    # --cache is not read: the products-warm benchmark passes it to every command.
+    p = sub.add_parser("thresholds", parents=[tabular, cached],
                        help="balanced-order thresholds N(k)")
     p.add_argument("kmax", type=int)
     p.add_argument("--paper-table", action="store_true",
                    help="print published reference values alongside computed ones")
     p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("transform", parents=[common],
+    p = sub.add_parser("transform", parents=[cached, graph_files, products],
                        help="iterated leaf attachment trace")
     # Trace rounds are a list of records, which a csv cell cannot hold.
     p.add_argument("--format", choices=("json", "text"), default="text")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import as_fraction
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, is_connected, max_degree
 
@@ -84,7 +83,8 @@ def imbalance_criterion(bg_g: BipartiteGraph, bg_h: BipartiteGraph) -> Criterion
     return _verdict("imbalance", lhs, rhs, _hypothesis_note(bg_g.graph, bg_h.graph))
 
 
-def imbalance_vs_arbitrary(bg_g: BipartiteGraph, delta_h: int, rho_h) -> CriterionVerdict:
+def imbalance_vs_arbitrary(bg_g: BipartiteGraph, delta_h: int,
+                           rho_h: Fraction) -> CriterionVerdict:
     """(|A_G| + |B_G|) / |A_G| >= (max degree sum + 1) * rho_H.
 
     One-sided variant: only G needs to be bipartite, H enters through its
@@ -95,7 +95,7 @@ def imbalance_vs_arbitrary(bg_g: BipartiteGraph, delta_h: int, rho_h) -> Criteri
     if delta_h < 0:
         raise PreconditionError("negative maximum degree")
     lhs = Fraction(bg_g.size_a + bg_g.size_b, bg_g.size_a)
-    rhs = (max_degree(bg_g.graph) + delta_h + 1) * as_fraction(rho_h)
+    rhs = (max_degree(bg_g.graph) + delta_h + 1) * rho_h
     return _verdict("imbalance-arbitrary", lhs, rhs, _hypothesis_note(bg_g.graph))
 
 
@@ -160,44 +160,17 @@ def kreg_order_bound(n: int, k: int) -> int:
     return 2 * r
 
 
-@dataclass(frozen=True)
-class RemainderSet:
-    """The unresolved (k, n) cells plus the structural gamma = 4 marker."""
-
-    pairs: frozenset
-    structural_case: str
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-
-def finite_remainder() -> RemainderSet:
+def finite_remainder() -> frozenset:
+    """The unresolved (k, n) cells; the structural case among them is
+    n = k + 2 with gamma = 4."""
     pairs = {(4, n) for n in range(6, 13)}
     pairs |= {(5, n) for n in range(7, 10)}
     pairs |= {(6, n) for n in range(8, 10)}
-    return RemainderSet(frozenset(pairs), "n=k+2 with gamma=4")
+    return frozenset(pairs)
 
 
-@dataclass
-class ThresholdTable:
-    """Computed N(k) per k, plus the smallest k where n >= k already suffices."""
-
-    entries: dict[int, ThresholdEntry]
-    auto_regime: int | None
-
-    def __post_init__(self):
-        for k, entry in self.entries.items():
-            if entry.n_min < k:
-                raise ValueError("threshold below k; table corrupt")
-
-
-def build_threshold_table(kmax: int) -> ThresholdTable:
+def build_threshold_table(kmax: int) -> list[ThresholdEntry]:
+    """N(k) for k = 3..kmax, in order of k."""
     if kmax < 3:
         raise PreconditionError("table needs kmax >= 3")
-    entries = {k: min_threshold_order(k) for k in range(3, kmax + 1)}
-    auto = None
-    for k in range(3, kmax + 1):
-        if threshold_condition(k, k, k).satisfied:
-            auto = k
-            break
-    return ThresholdTable(entries, auto)
+    return [min_threshold_order(k) for k in range(3, kmax + 1)]

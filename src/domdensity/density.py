@@ -34,13 +34,6 @@ class Density:
         return Fraction(self.gamma, self.order)
 
 
-def as_fraction(x) -> Fraction:
-    """Accept a Density, Fraction, int, or 'p/q' string."""
-    if isinstance(x, Density):
-        return x.value
-    return Fraction(x)
-
-
 def rho(g: Graph, cache: GammaCache | None = None) -> Density:
     """Domination density gamma(g) / |V(g)|."""
     return Density(gamma_value(g, cache), g.n)
@@ -60,7 +53,6 @@ def density_vizing_check(g: Graph, h: Graph, report: VizingReport) -> bool:
 
 __all__ = [
     "Density",
-    "as_fraction",
     "rho",
     "density_vizing_check",
 ]

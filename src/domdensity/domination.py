@@ -51,29 +51,16 @@ BRUTE_FORCE_LIMIT = 24
 
 
 @dataclass(frozen=True)
-class DominatingSet:
-    """A witness set as a vertex bitmask plus its size."""
-
-    vertices: int
-    size: int
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "DominatingSet":
-        return cls(mask, mask.bit_count())
-
-    def members(self) -> list[int]:
-        return bit_list(self.vertices)
-
-
-@dataclass(frozen=True)
 class VizingReport:
+    """Exact values of one product pair; each witness is a vertex mask."""
+
     gamma_g: int
     gamma_h: int
     gamma_product: int
     holds: bool
-    witness_g: DominatingSet
-    witness_h: DominatingSet
-    witness_product: DominatingSet
+    witness_g: int
+    witness_h: int
+    witness_product: int
 
 
 def closed_neighborhoods(g: Graph) -> list[int]:
@@ -84,12 +71,9 @@ def is_dominating(g: Graph, vertices: int) -> bool:
     """True iff the union of closed neighbourhoods over ``vertices`` is V."""
     if vertices & ~g.vertex_mask:
         raise PreconditionError("candidate set outside the vertex set")
-    covered = 0
-    m = vertices
-    while m:
-        low = m & -m
-        covered |= g.neighbors[low.bit_length() - 1] | low
-        m ^= low
+    covered = vertices
+    for v in bit_list(vertices):
+        covered |= g.neighbors[v]
     return covered == g.vertex_mask
 
 
@@ -259,8 +243,8 @@ def gamma_value(g: Graph, cache: "GammaCache | None" = None) -> int:
     return value
 
 
-def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, DominatingSet]:
-    """Domination number together with the deterministic lex-min witness.
+def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, int]:
+    """Domination number together with the deterministic lex-min witness mask.
 
     A witness stored in the cache is checked with ``is_dominating`` and
     returned without a search; otherwise one ``_Search`` runs whichever of
@@ -278,14 +262,14 @@ def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, Domin
         if not is_dominating(g, witness):
             raise ValueError(f"cached witness mask {witness:x} does not dominate this"
                              " graph (a wrong gamma cache entry?)")
-        return value, DominatingSet.from_mask(witness)
+        return value, witness
     search = _Search(g)
     if value is None:
         value = search.minimum_size(search.greedy_cover())
     witness = search.lexmin_witness(value)
     if cache is not None:
         cache.put(key, value, witness)
-    return value, DominatingSet.from_mask(witness)
+    return value, witness
 
 
 def gamma_brute(g: Graph) -> int:
@@ -310,7 +294,7 @@ def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None,
     product = cartesian_product(g, h, max_vertices)
     gamma_g, wit_g = gamma_exact(g, cache)
     gamma_h, wit_h = gamma_exact(h, cache)
-    gamma_p, wit_p = gamma_exact(product.graph, cache)
+    gamma_p, wit_p = gamma_exact(product, cache)
     return VizingReport(
         gamma_g=gamma_g,
         gamma_h=gamma_h,

@@ -50,11 +50,7 @@ class Graph:
             if nb >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, nb in enumerate(self.neighbors):
-            m = nb
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
+            for u in iter_bits(nb):
                 if not self.neighbors[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
 
@@ -73,11 +69,8 @@ class Graph:
 
     def edges(self):
         for v in range(self.n):
-            m = self.neighbors[v] >> (v + 1)
-            while m:
-                low = m & -m
-                yield v, v + 1 + low.bit_length() - 1
-                m ^= low
+            for u in iter_bits(self.neighbors[v] >> (v + 1)):
+                yield v, v + 1 + u
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -347,18 +340,8 @@ def bipartition(g: Graph) -> BipartiteGraph | None:
 # Cartesian products and leaf attachment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabeledProduct:
-    """Cartesian product with its factor orders; vertex (a, b) is
-    a * h_order + b."""
-
-    graph: Graph
-    g_order: int
-    h_order: int
-
-
 def cartesian_product(g: Graph, h: Graph,
-                      max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES) -> LabeledProduct:
+                      max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES) -> Graph:
     """Cartesian product: (a,b) ~ (a',b') iff equal in one coordinate and
     adjacent in the other.  Vertex (a, b) gets index a * h.n + b."""
     total = g.n * h.n
@@ -375,7 +358,7 @@ def cartesian_product(g: Graph, h: Graph,
             for tb in row_targets:
                 m |= 1 << (tb + b)
             nb[base + b] = m
-    return LabeledProduct(Graph(total, tuple(nb)), g.n, h.n)
+    return Graph(total, tuple(nb))
 
 
 def attach_leaves(g: Graph, targets: int) -> Graph:

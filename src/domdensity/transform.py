@@ -21,9 +21,8 @@ from itertools import combinations
 from math import ceil, floor
 
 from .criteria import CriterionVerdict
-from .density import as_fraction, rho
+from .density import rho
 from .domination import (
-    DominatingSet,
     GammaCache,
     closed_neighborhoods,
     gamma_exact,
@@ -35,6 +34,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     attach_leaves,
+    bit_list,
     cartesian_product,
     graph_key,
     max_degree,
@@ -43,7 +43,7 @@ from .graphs import (
 EXHAUSTIVE_SWEEP_LIMIT = 14
 
 
-def m_star(x_size: int, dx_size: int, rho_h) -> int | None:
+def m_star(x_size: int, dx_size: int, rho_h: Fraction) -> int | None:
     """Smallest s with s / x_size strictly above rho_h, if s <= dx_size.
 
     Strict inequality matches the escalation-subset definition; the
@@ -52,18 +52,18 @@ def m_star(x_size: int, dx_size: int, rho_h) -> int | None:
     """
     if x_size < 1 or not 0 <= dx_size <= x_size:
         raise PreconditionError("need 0 <= dx_size <= x_size with x_size >= 1")
-    r = as_fraction(rho_h)
-    if r < 0:
+    if rho_h < 0:
         raise PreconditionError("negative density")
-    s = floor(x_size * r) + 1
+    s = floor(x_size * rho_h) + 1
     return s if s <= dx_size else None
 
 
 @dataclass(frozen=True)
 class SplitCandidate:
-    """One (minimum dominating set, side) option for the escalation."""
+    """One (minimum dominating set, side) option for the escalation;
+    ``dset`` is the set's vertex mask."""
 
-    dset: DominatingSet
+    dset: int
     side: str
     side_size: int
     d_in_side: int
@@ -110,24 +110,23 @@ def minimum_dominating_sets(g: Graph, gamma: int) -> list[int]:
     return out
 
 
-def evaluate_hypothesis(bg: BipartiteGraph, rho_h, cache: GammaCache | None = None) -> HypothesisReport:
-    r = as_fraction(rho_h)
+def evaluate_hypothesis(bg: BipartiteGraph, rho_h: Fraction,
+                        cache: GammaCache | None = None) -> HypothesisReport:
     gamma, witness = gamma_exact(bg.graph, cache)
     swept = bg.graph.n <= EXHAUSTIVE_SWEEP_LIMIT
-    masks = minimum_dominating_sets(bg.graph, gamma) if swept else [witness.vertices]
+    masks = minimum_dominating_sets(bg.graph, gamma) if swept else [witness]
     candidates = []
     for mask in masks:
-        dset = DominatingSet.from_mask(mask)
         for side, side_mask in (("A", bg.side_a), ("B", bg.side_b)):
             size = side_mask.bit_count()
             if size == 0:
                 continue
             d_in = mask & side_mask
             prop = Fraction(d_in.bit_count(), size)
-            meets = prop >= r
-            ms = m_star(size, d_in.bit_count(), r) if meets else None
+            meets = prop >= rho_h
+            ms = m_star(size, d_in.bit_count(), rho_h) if meets else None
             candidates.append(SplitCandidate(
-                dset=dset,
+                dset=mask,
                 side=side,
                 side_size=size,
                 d_in_side=d_in,
@@ -138,10 +137,10 @@ def evaluate_hypothesis(bg: BipartiteGraph, rho_h, cache: GammaCache | None = No
     usable = [c for c in candidates if c.m_star is not None]
     chosen = min(
         usable,
-        key=lambda c: (c.m_star, 0 if c.side == "A" else 1, c.dset.vertices),
+        key=lambda c: (c.m_star, 0 if c.side == "A" else 1, c.dset),
     ) if usable else None
     return HypothesisReport(
-        rho_h=r,
+        rho_h=rho_h,
         gamma=gamma,
         gate_met=any(c.meets for c in candidates),
         chosen=chosen,
@@ -203,8 +202,7 @@ def constructive_inequality_check(bg: BipartiteGraph, h: Graph,
             applicable=False, hypothesis=hyp, gamma_g=hyp.gamma,
             gamma_h=rho_h.gamma, order_h=h.n, gamma_product=None,
             m_star=None, side=None, lhs=None, rhs=rhs, holds=None)
-    product = cartesian_product(bg.graph, h, max_vertices)
-    gamma_p = gamma_value(product.graph, cache)
+    gamma_p = gamma_value(cartesian_product(bg.graph, h, max_vertices), cache)
     chosen = hyp.chosen
     lhs = gamma_p + chosen.m_star * h.n
     return ConstructiveReport(
@@ -252,7 +250,6 @@ class TransformTrace:
     final_round: int | None
     satisfied: bool
     round_bound: int | None
-    policy: str = "reuse-targets"
 
     def to_json(self) -> dict:
         return {
@@ -261,13 +258,11 @@ class TransformTrace:
             "equality_flagged": self.hypothesis.equality_flagged,
             "side_x": self.side_x,
             "m_star": self.m_star,
-            "targets": None if self.targets is None else
-                       [v for v in range(self.targets.bit_length())
-                        if self.targets >> v & 1],
+            "targets": None if self.targets is None else bit_list(self.targets),
             "final_round": self.final_round,
             "satisfied": self.satisfied,
             "round_bound": self.round_bound,
-            "policy": self.policy,
+            "policy": "reuse-targets",
             "rounds": [r.to_json() for r in self.rounds],
         }
 
@@ -305,13 +300,7 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
     chosen = hyp.chosen
     x_size = chosen.side_size
     m = chosen.m_star
-    target_bits = []
-    pool = chosen.d_in_side
-    while pool and len(target_bits) < m:
-        low = pool & -pool
-        target_bits.append(low.bit_length() - 1)
-        pool ^= low
-    targets = sum(1 << v for v in target_bits)
+    targets = sum(1 << v for v in bit_list(chosen.d_in_side)[:m])
 
     g = bg.graph
     gamma0 = hyp.gamma

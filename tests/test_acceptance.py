@@ -75,7 +75,7 @@ def test_criterion_02_worked_3regular_example(rank6_matrix):
     gamma, witness = gamma_exact(g)
     assert gamma == 4
     assert gamma_brute(g) == 4
-    assert is_dominating(g, witness.vertices)
+    assert is_dominating(g, witness)
     assert rank_exact([[row >> j & 1 for j in range(6)]
                        for row in rank6_matrix.rows]) == 6
     assert disjoint_row_cover(rank6_matrix, 2) is None
@@ -179,7 +179,7 @@ def test_criterion_08_vizing_desk_scale(cache):
     started = time.perf_counter()
     pool = [g for n in range(1, 6) for g in connected_graphs(n)]
     for g, h in combinations_with_replacement(pool, 2):
-        gamma_p = gamma_value(cartesian_product(g, h).graph, cache)
+        gamma_p = gamma_value(cartesian_product(g, h), cache)
         assert gamma_p >= gamma_value(g, cache) * gamma_value(h, cache)
     _finish(8, "product inequality, all connected pairs n <= 5", started, 300.0)
 

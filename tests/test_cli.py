@@ -121,6 +121,18 @@ class TestCheckVizing:
         assert json.loads(capsys.readouterr().out)["density_form_holds"] is True
         assert sorted(calls) == [4, 4, 16]
 
+    @pytest.mark.parametrize("g6, note", [
+        ("A?", "not applicable: a factor has no edges"),
+        ("Bw", "not applicable: a factor is not bipartite"),
+    ], ids=["edgeless", "odd-cycle"])
+    def test_imbalance_note_says_why_it_does_not_apply(self, tmp_path, c4_file, capsys,
+                                                        g6, note):
+        factor = tmp_path / "factor.g6"
+        factor.write_text(g6 + "\n")
+        assert main(["check-vizing", str(factor), c4_file, "--format", "json"]) == EXIT_OK
+        criteria = json.loads(capsys.readouterr().out)["criteria"]
+        assert criteria[0] == {"name": "imbalance", "satisfied": None, "note": note}
+
     def test_capacity_exit_3(self, tmp_path, capsys):
         big = tmp_path / "big.g6"
         big.write_text(emit_graph6(star(80)) + "\n")
@@ -154,7 +166,7 @@ class TestScan:
         assert main(["scan", "4", "2", "--format", "json",
                      "--output", str(out), "--resume"]) == EXIT_OK
         second = [json.loads(ln) for ln in out.read_text().splitlines()]
-        # resume adds only a fresh summary, no duplicate class records
+        # resume adds no duplicate class records
         assert len([r for r in second if "key" in r]) == \
                len([r for r in first if "key" in r])
 
@@ -193,10 +205,34 @@ class TestScan:
         part = tmp_path / "part.jsonl"
         part.write_text(text[:end])
         assert main(argv + [str(part), "--resume"]) == status
-        resumed = part.read_text().splitlines(keepends=True)
-        assert json.loads(resumed[-1]) == json.loads(lines[-1])
-        assert [ln for ln in resumed if '"key"' in ln] == \
-               [ln for ln in lines if '"key"' in ln]
+        assert part.read_bytes() == full.read_bytes()
+
+    def test_resume_skips_an_earlier_summary(self, tmp_path, capsys):
+        out = tmp_path / "scan.jsonl"
+        argv = ["scan", "5", "3", "--format", "json", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        summary = out.read_text().splitlines(keepends=True)[-1]
+        with out.open("a") as fh:
+            fh.write(summary)
+        doubled = out.read_bytes()
+        assert main(argv + ["--resume"]) == EXIT_OK
+        assert out.read_bytes() == doubled
+
+    @pytest.mark.parametrize("junk", [
+        "not json at all", "[1,2]", "{}", "",
+        '{"classes": 1, "findings": 0, "k": 3, "max_gamma": 4, "n": 6, "type": "summary"}',
+    ], ids=["text", "list", "keyless", "blank", "summary-of-another-cell"])
+    def test_resume_rejects_a_line_that_is_no_scan_record(self, tmp_path, capsys, junk):
+        out = tmp_path / "scan.jsonl"
+        argv = ["scan", "5", "2", "--format", "json", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        first = out.read_text().splitlines(keepends=True)[0]
+        out.write_text(first + junk + "\n[1,2]\n")
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {out}:2: not a scan record\n"
+        assert out.read_bytes() == before
 
     def test_scan_8_6_allow_large(self, capsys):
         assert main(["scan", "8", "6", "--allow-large", "--format", "json"]) == EXIT_OK
@@ -410,6 +446,12 @@ class TestThresholds:
         assert main(["thresholds", "5", "--paper-table"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "reference=13" in out and "reference=23" in out
+
+    def test_cache_is_accepted_and_ignored(self, tmp_path, capsys):
+        cache = tmp_path / "W"
+        assert main(["thresholds", "50", "--format", "json", "--cache", str(cache)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 48
+        assert not cache.exists()
 
 
 class TestTransform:
@@ -635,3 +677,77 @@ def test_stdout_is_the_same_cold_and_warm(tmp_path, c4_file, c5_file, rank6_file
             assert main([*argv, *cache]) == EXIT_OK
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1] == runs[2], argv
+
+
+# Flags that no command reads are not accepted.
+@pytest.mark.parametrize("argv", [
+    ["gamma", "@c4", "--max-vertices", "1"],
+    ["scan", "4", "2", "--max-vertices", "9"],
+    ["scan", "4", "2", "--input-format", "graph6"],
+    ["thresholds", "4", "--max-vertices", "-5"],
+    ["thresholds", "4", "--input-format", "graph6"],
+], ids=" ".join)
+def test_unread_flags_are_refused(request, capsys, argv):
+    argv = [request.getfixturevalue(a[1:] + "_file") if a.startswith("@") else a
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# sha256 of stdout of the commands other than scan; "@c4" names the c4_file
+# fixture.  Each exits 0 and writes nothing to stderr.
+@pytest.mark.parametrize("argv, out", [
+    (["gamma", "@c4", "--format", "text"],
+     "ca49c3b6477168f7bb1663728995466194e067a2f76c738be2fe2937cfc71dcc"),
+    (["gamma", "@rank6", "--format", "text"],
+     "9005e2fd65ee5f847a8cab1fd42ec213926550eb9cb1abaaf1f4a2b7fe047521"),
+    (["check-vizing", "@c4", "@c5", "--format", "text"],
+     "9107e3c7e0c76496af8503150e0de94170f585050b7f6111728a7ca6dd0ee495"),
+    (["check-vizing", "@rank6", "@c5", "--format", "text"],
+     "42f078c03c79fa1f8eef33dd93f52033f4482db69032d40bb006dd0120e14b80"),
+    (["thresholds", "12", "--format", "text"],
+     "39c85fcac7035cfb66e0d355686e95a377b8295e4db34ec7975dd79a8de9ce89"),
+    (["thresholds", "12", "--paper-table", "--format", "text"],
+     "0d2fc5fd2feefb91907754a39a6705e5b053793a0171bee319babcc5c84825eb"),
+    (["gamma", "@c4", "--format", "json"],
+     "cec2158b61bda4b6705d27a113337081e04fa951f8ccbaf040e08ef1c33fb95c"),
+    (["gamma", "@rank6", "--format", "json"],
+     "113e1ae0ef83b2764697687cbd4beb8b0cddca3f162823dde9fc51a4a13e83f6"),
+    (["check-vizing", "@c4", "@c5", "--format", "json"],
+     "e18233eb88554fadce82b237965f5ce6e0bf7c5b602a4e23377c191d2fd088fa"),
+    (["check-vizing", "@rank6", "@c5", "--format", "json"],
+     "e42459a3f8fc47b7d9d6113c93424280ae5e737e499fe7939fdf7e1fc6ef7162"),
+    (["thresholds", "12", "--format", "json"],
+     "af462013af66f7ec45e7c31e93af28e049b4da45173659bdb889c375effe1c2e"),
+    (["thresholds", "12", "--paper-table", "--format", "json"],
+     "b9f97a5e5994e7b2c145845116c14066249a326e5576274cdba315c5963913c8"),
+    (["gamma", "@c4", "--format", "csv"],
+     "880fc3d799265baddf634eafe854e2a4b1cc2e337a4c9904f5c77cd9c38cff69"),
+    (["gamma", "@rank6", "--format", "csv"],
+     "dc9569a639a6f249fa942c7e3a0191412ce161d3389cebf2fa0bb3dfcc75603e"),
+    (["check-vizing", "@c4", "@c5", "--format", "csv"],
+     "fedbbc9234402237a1724486b761ce3737d7947a824415ceb17000be010ec7b9"),
+    (["check-vizing", "@rank6", "@c5", "--format", "csv"],
+     "57efe7f199a29bdf443a64fe4e36265cdd6c77c588ccd409d7180a5b685e85c2"),
+    (["thresholds", "12", "--format", "csv"],
+     "8f48ec7fb97c3f6db6a24f73e9337097fd67df700d6d725c40804d1bd6958d8b"),
+    (["thresholds", "12", "--paper-table", "--format", "csv"],
+     "ed550857ef0117f2a39f833d80fe171fea78db7851399b017ac65593d8c02717"),
+    (["transform", "@rank6", "--h", "@c5", "--format", "text"],
+     "02c706d02e0d34141861489dfc4fd5c4c1af838eeed5d27893c94bf7e5fbd232"),
+    (["transform", "@c4", "--rho-h", "1/2", "--delta-h", "2", "--format", "text"],
+     "24cc08a4aaf7a35a0c66084223a0b254ee01d5776138f794f7904e5bb4f77314"),
+    (["transform", "@rank6", "--h", "@c5", "--format", "json"],
+     "59576f6564c28f2b9bf241c2da94b072c42397e560aedd822c33f16874fbbac6"),
+    (["transform", "@c4", "--rho-h", "1/2", "--delta-h", "2", "--format", "json"],
+     "cfdd61f6244ad953619b4f4338ad51b6820a21fab2d91434b51ced2bbeac24e5"),
+])
+def test_command_output_is_pinned(request, capsys, argv, out):
+    argv = [request.getfixturevalue(a[1:] + "_file") if a.startswith("@") else a
+            for a in argv]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == EMPTY

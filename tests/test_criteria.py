@@ -164,9 +164,9 @@ class TestThresholds:
 
     def test_table_and_auto_regime(self):
         table = build_threshold_table(12)
-        assert table.auto_regime == 9
-        assert table.entries[3].n_min == 23
-        assert all(table.entries[k].n_min == k for k in range(9, 13))
+        assert [entry.k for entry in table] == list(range(3, 13))
+        assert table[0].n_min == 23
+        assert [entry.k for entry in table if entry.n_min == entry.k] == [9, 10, 11, 12]
 
     def test_rejects_small_k(self):
         with pytest.raises(PreconditionError):
@@ -178,8 +178,7 @@ def test_finite_remainder_contents():
     assert (4, 6) in remainder and (4, 12) in remainder
     assert (4, 13) not in remainder
     assert (6, 9) in remainder and (6, 10) not in remainder
-    assert len(remainder.pairs) == 12
-    assert "gamma=4" in remainder.structural_case
+    assert len(remainder) == 12
 
 
 def test_order_bound_not_comparable_to_conjectured_bound():

@@ -29,6 +29,7 @@ from domdensity import (
     to_graph,
 )
 from domdensity.catalog import all_graphs
+from domdensity.graphs import bit_list
 from conftest import random_graph
 
 
@@ -69,27 +70,27 @@ class TestGammaBrute:
 class TestGammaExact:
     def test_p3_center(self):
         gamma, witness = gamma_exact(path_graph(3))
-        assert gamma == 1 and witness.vertices == 0b010
+        assert gamma == 1 and witness == 0b010
 
     def test_worked_3regular_example(self, rank6_matrix):
         g = to_graph(rank6_matrix).graph
         gamma, witness = gamma_exact(g)
         assert gamma == 4 == gamma_brute(g)
-        assert is_dominating(g, witness.vertices)
+        assert is_dominating(g, witness)
 
     def test_block_form_example(self, block6_matrix):
         g = to_graph(block6_matrix).graph
         gamma, witness = gamma_exact(g)
         assert gamma == 4 == gamma_brute(g)
-        assert is_dominating(g, witness.vertices)
+        assert is_dominating(g, witness)
 
     def test_witness_is_lexicographically_first(self):
         # P4: {0,2} beats every other minimum dominating set in sorted order
         gamma, witness = gamma_exact(path_graph(4))
-        assert gamma == 2 and witness.members() == [0, 2]
+        assert gamma == 2 and bit_list(witness) == [0, 2]
         # C4: every pair dominates, so {0,1} wins
         gamma, witness = gamma_exact(cycle_graph(4))
-        assert gamma == 2 and witness.members() == [0, 1]
+        assert gamma == 2 and bit_list(witness) == [0, 1]
 
     def test_witness_is_first_minimum_set_in_combination_order(self):
         # combinations() yields sorted tuples in lexicographic order, so the
@@ -102,7 +103,7 @@ class TestGammaExact:
             gamma, witness = gamma_exact(g)
             masks = (sum(1 << v for v in combo)
                      for combo in combinations(range(g.n), gamma))
-            assert witness.vertices == next(m for m in masks if is_dominating(g, m))
+            assert witness == next(m for m in masks if is_dominating(g, m))
 
     def test_agrees_with_oracle_exhaustively_to_7(self):
         for n in range(1, 8):
@@ -120,8 +121,8 @@ class TestGammaExact:
         for _ in range(200):
             g = random_graph(rng, rng.randrange(1, 11), rng.uniform(0.1, 0.9))
             gamma, witness = gamma_exact(g)
-            assert witness.size == gamma
-            assert is_dominating(g, witness.vertices)
+            assert witness.bit_count() == gamma
+            assert is_dominating(g, witness)
 
     def test_additive_over_components(self):
         g = disjoint_union(cycle_graph(4), path_graph(3))
@@ -139,7 +140,7 @@ class TestGammaExact:
         for _ in range(100):
             g = random_graph(rng, rng.randrange(2, 10), rng.uniform(0.2, 0.8))
             gamma, witness = gamma_exact(g)
-            members = witness.members()
+            members = bit_list(witness)
             k = rng.randrange(1, len(members) + 1)
             subset = sum(1 << v for v in rng.sample(members, k))
             assert gamma_value(attach_leaves(g, subset)) == gamma
@@ -151,25 +152,25 @@ class TestKnownValues:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_narrow_grids(self, n):
         # Jacobson & Kinch 1984
-        p2 = cartesian_product(path_graph(2), path_graph(n)).graph
-        p3 = cartesian_product(path_graph(3), path_graph(n)).graph
+        p2 = cartesian_product(path_graph(2), path_graph(n))
+        p3 = cartesian_product(path_graph(3), path_graph(n))
         assert gamma_value(p2) == (n + 2) // 2
         assert gamma_value(p3) == (3 * n + 4) // 4
 
     def test_narrow_grid_against_oracle(self):
-        assert gamma_brute(cartesian_product(path_graph(3), path_graph(8)).graph) == 7
+        assert gamma_brute(cartesian_product(path_graph(3), path_graph(8))) == 7
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_c4_cycle_products(self, n):
-        assert gamma_value(cartesian_product(cycle_graph(4), cycle_graph(n)).graph) == n
+        assert gamma_value(cartesian_product(cycle_graph(4), cycle_graph(n))) == n
 
     @pytest.mark.parametrize("g,members", [
         (cycle_graph(7), [0, 1, 2, 11, 16, 20, 25, 28, 29, 34, 38, 47]),
         (path_graph(8), [0, 2, 6, 12, 17, 22, 23, 27, 32, 37, 42, 47, 48, 52, 58, 62]),
     ])
     def test_pinned_square_witnesses(self, g, members):
-        gamma, witness = gamma_exact(cartesian_product(g, g).graph)
-        assert gamma == len(members) and witness.members() == members
+        gamma, witness = gamma_exact(cartesian_product(g, g))
+        assert gamma == len(members) and bit_list(witness) == members
 
 
 class TestCheckVizing:
@@ -181,7 +182,7 @@ class TestCheckVizing:
     def test_c4_square_matches_oracle(self):
         g = cycle_graph(4)
         product = cartesian_product(g, g)
-        assert gamma_brute(product.graph) == 4
+        assert gamma_brute(product) == 4
         report = check_vizing(g, g)
         assert report.gamma_product == 4 and report.holds
 
@@ -191,10 +192,10 @@ class TestCheckVizing:
     def test_witnesses_dominate(self):
         g, h = path_graph(4), cycle_graph(5)
         report = check_vizing(g, h)
-        assert is_dominating(g, report.witness_g.vertices)
-        assert is_dominating(h, report.witness_h.vertices)
+        assert is_dominating(g, report.witness_g)
+        assert is_dominating(h, report.witness_h)
         product = cartesian_product(g, h)
-        assert is_dominating(product.graph, report.witness_product.vertices)
+        assert is_dominating(product, report.witness_product)
 
     def test_capacity_propagates(self):
         with pytest.raises(CapacityError):
@@ -272,7 +273,7 @@ class TestGammaCache:
         assert len(lines) == len(expected)
         for key, value, mask in lines:
             gamma, witness = expected[key]
-            assert (int(value), int(mask, 16)) == (gamma, witness.vertices)
+            assert (int(value), int(mask, 16)) == (gamma, witness)
         reloaded = GammaCache(path)
         for g in graphs:
             assert gamma_exact(g, reloaded) == expected[graph_key(g)]
@@ -300,7 +301,7 @@ def test_product_inequality_sampled_pairs_to_6():
     for _ in range(200):
         g, h = rng.choice(pool), rng.choice(pool)
         product = cartesian_product(g, h)
-        assert gamma_value(product.graph) >= gamma_value(g) * gamma_value(h)
+        assert gamma_value(product) >= gamma_value(g) * gamma_value(h)
 
 
 def test_star_product_gamma():

@@ -249,12 +249,12 @@ class TestBipartition:
 class TestProducts:
     def test_square_of_k2_is_c4(self):
         prod = cartesian_product(complete_bipartite(1, 1), complete_bipartite(1, 1))
-        assert canonical_form(prod.graph) == canonical_form(cycle_graph(4))
+        assert canonical_form(prod) == canonical_form(cycle_graph(4))
 
     def test_grid_2x3_edge_count(self):
         prod = cartesian_product(path_graph(2), path_graph(3))
-        assert prod.graph.n == 6
-        assert prod.graph.edge_count() == 7  # 2*2 + 3*1
+        assert prod.n == 6
+        assert prod.edge_count() == 7  # 2*2 + 3*1
 
     def test_edge_count_formula(self):
         rng = random.Random(23)
@@ -262,12 +262,12 @@ class TestProducts:
             g = random_graph(rng, rng.randrange(1, 7), 0.5)
             h = random_graph(rng, rng.randrange(1, 7), 0.5)
             prod = cartesian_product(g, h)
-            assert prod.graph.edge_count() == (
+            assert prod.edge_count() == (
                 g.n * h.edge_count() + h.n * g.edge_count())
 
     def test_max_degree_is_sum(self):
         prod = cartesian_product(cycle_graph(4), cycle_graph(4))
-        assert max_degree(prod.graph) == 4
+        assert max_degree(prod) == 4
         rng = random.Random(29)
         for _ in range(30):
             g = random_graph(rng, rng.randrange(1, 7), 0.5)
@@ -275,17 +275,16 @@ class TestProducts:
             prod = cartesian_product(g, h)
             expected = max(g.degree(a) + h.degree(b)
                            for a in range(g.n) for b in range(h.n))
-            assert max_degree(prod.graph) == expected
+            assert max_degree(prod) == expected
 
     def test_index_bijection(self):
         # vertex (a, b) is a * h.n + b
         g, h = path_graph(3), path_graph(4)
         prod = cartesian_product(g, h)
-        assert (prod.g_order, prod.h_order) == (3, 4)
         for a in range(3):
             for b in range(4):
                 assert divmod(a * h.n + b, h.n) == (a, b)
-                assert prod.graph.degree(a * h.n + b) == g.degree(a) + h.degree(b)
+                assert prod.degree(a * h.n + b) == g.degree(a) + h.degree(b)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -300,14 +299,14 @@ class TestProducts:
             h = random_graph(rng, rng.randrange(1, 6), 0.5)
             gh = cartesian_product(g, h)
             hg = cartesian_product(h, g)
-            for u in range(gh.graph.n):
+            for u in range(gh.n):
                 a, b = divmod(u, h.n)
-                for v in range(u + 1, gh.graph.n):
+                for v in range(u + 1, gh.n):
                     c, d = divmod(v, h.n)
-                    assert gh.graph.has_edge(u, v) == hg.graph.has_edge(
+                    assert gh.has_edge(u, v) == hg.has_edge(
                         b * g.n + a, d * g.n + c)
-            if gh.graph.n <= 10:
-                assert canonical_form(gh.graph) == canonical_form(hg.graph)
+            if gh.n <= 10:
+                assert canonical_form(gh) == canonical_form(hg)
 
 
 class TestAttachLeaves:

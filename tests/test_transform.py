@@ -89,7 +89,7 @@ class TestConstructiveInequality:
         h = cycle_graph(4)
         report = constructive_inequality_check(bg, h)
         product = cartesian_product(bg.graph, h)
-        assert report.gamma_product == gamma_brute(product.graph) == 4
+        assert report.gamma_product == gamma_brute(product) == 4
         assert report.m_star == 2
         assert report.lhs == 4 + 2 * 4 and report.rhs == 4
         assert report.holds
@@ -107,7 +107,7 @@ class TestConstructiveInequality:
         report = constructive_inequality_check(bg, h)
         assert report.applicable
         product = cartesian_product(bg.graph, h)
-        assert report.gamma_product == gamma_brute(product.graph)
+        assert report.gamma_product == gamma_brute(product)
         assert report.lhs == report.gamma_product + report.m_star * 2
         assert report.rhs == 2
         assert report.holds
@@ -186,7 +186,7 @@ class TestProofAccounting:
                 targets |= low
                 pool ^= low
             grown = attach_leaves(g, targets)
-            lhs = gamma_value(cartesian_product(grown, h).graph)
+            lhs = gamma_value(cartesian_product(grown, h))
             assert lhs <= report.gamma_product + report.m_star * h.n
 
     def test_end_to_end_grown_pair_satisfies_inequality(self):
@@ -201,7 +201,7 @@ class TestProofAccounting:
         gamma_grown = gamma_value(g)
         assert gamma_grown == trace.hypothesis.gamma
         product = cartesian_product(g, h)
-        assert gamma_value(product.graph) >= gamma_grown * gamma_value(h)
+        assert gamma_value(product) >= gamma_grown * gamma_value(h)
 
     def test_termination_within_slope_bound_on_samples(self):
         rng = random.Random(101)
