@@ -514,6 +514,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_vertices", 1) < 1:
+            raise ParseError(f"--max-vertices must be at least 1, not {args.max_vertices}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ParseError and PreconditionError are ValueErrors; an OSError is a

@@ -9,15 +9,14 @@ cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, is_connected, max_degree
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     """Uniform envelope: satisfied iff lhs >= rhs, exact sides kept."""
 
     name: str
@@ -119,8 +118,7 @@ def threshold_condition(k: int, n_g: int, n_h: int) -> CriterionVerdict:
     return _verdict("k-regular-threshold", lhs, rhs)
 
 
-@dataclass(frozen=True)
-class ThresholdEntry:
+class ThresholdEntry(NamedTuple):
     k: int
     n_min: int
     boundary: bool

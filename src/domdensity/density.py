@@ -9,25 +9,30 @@ twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .domination import GammaCache, VizingReport, gamma_value
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class Density:
-    """gamma / order, with the unreduced denominator kept alongside."""
-
+class _DensityFields(NamedTuple):
     gamma: int
     order: int
 
-    def __post_init__(self):
+
+class Density(_DensityFields):
+    """gamma / order, with the unreduced denominator kept alongside."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: int, order: int):
+        self = super().__new__(cls, gamma, order)
         if self.order < 1:
             raise ValueError("density needs a positive order")
         if not 1 <= self.gamma <= self.order:
             raise ValueError("gamma must lie in 1..order")
+        return self
 
     @property
     def value(self) -> Fraction:

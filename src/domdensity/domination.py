@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import or_
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError
 from .graphs import (
@@ -50,8 +50,7 @@ from .graphs import (
 BRUTE_FORCE_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class VizingReport:
+class VizingReport(NamedTuple):
     """Exact values of one product pair; each witness is a vertex mask."""
 
     gamma_g: int

@@ -26,9 +26,8 @@ instead of being asserted away.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .criteria import conjectured_kreg_bound, kreg_order_bound
 from .domination import GammaCache, gamma_value
@@ -40,18 +39,22 @@ SCAN_CAP = 7
 SCAN_CAP_LARGE = 8
 
 
-@dataclass(frozen=True)
-class BiadjacencyMatrix:
+class _MatrixFields(NamedTuple):
+    n: int
+    k: int
+    rows: tuple[int, ...]
+
+
+class BiadjacencyMatrix(_MatrixFields):
     """n x n 0/1 matrix with every row and column summing to k.
 
     ``rows[i]`` is a column bitmask (bit j set iff entry (i, j) is 1).
     """
 
-    n: int
-    k: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, k: int, rows: tuple[int, ...]):
+        self = super().__new__(cls, n, k, rows)
         if not 1 <= self.k <= self.n:
             raise ValueError("need 1 <= k <= n")
         if len(self.rows) != self.n:
@@ -66,6 +69,7 @@ class BiadjacencyMatrix:
             s = sum(r >> j & 1 for r in self.rows)
             if s != self.k:
                 raise ValueError(f"column {j} sums to {s}, expected {self.k}")
+        return self
 
     def column(self, j: int) -> int:
         """Bitmask over row indices with a 1 in column j."""
@@ -337,11 +341,10 @@ SCAN_RECORD_FIELDS = {
 }
 
 
-@dataclass
-class Finding:
+class Finding(NamedTuple):
     kind: str
     key: str
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "key": self.key, **self.detail}
@@ -402,7 +405,7 @@ def class_record(m: BiadjacencyMatrix, cache: GammaCache | None = None,
               "conj_bound": conjectured_kreg_bound(n, k),
               "order_bound": kreg_order_bound(n, k) if n > max(k, 1) else None,
               "case": _case(m), "connected": is_connected(bg.graph),
-              **asdict(obstruction_report(m))}
+              **obstruction_report(m)._asdict()}
     if record["cover_witness"] is not None:
         record["cover_witness"] = list(record["cover_witness"])
     return record

@@ -8,8 +8,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, ParseError, PreconditionError
 
@@ -31,14 +30,18 @@ def bit_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: ``neighbors[v]`` is the open neighbourhood N(v)."""
-
+class _GraphFields(NamedTuple):
     n: int
     neighbors: tuple[int, ...]
 
-    def __post_init__(self):
+
+class Graph(_GraphFields):
+    """Simple undirected graph: ``neighbors[v]`` is the open neighbourhood N(v)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, neighbors: tuple[int, ...]):
+        self = super().__new__(cls, n, neighbors)
         if self.n < 1:
             raise ValueError("graph order must be a positive integer")
         if len(self.neighbors) != self.n:
@@ -53,6 +56,7 @@ class Graph:
             for u in iter_bits(nb):
                 if not self.neighbors[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        return self
 
     @property
     def vertex_mask(self) -> int:
@@ -233,6 +237,7 @@ def graph_key(g: Graph) -> str:
     g6 = emit_graph6(g)
     if g.n <= 62:
         return g6
+    import hashlib  # only here: its OpenSSL binding is slow to load
     return "sha256:" + hashlib.sha256(g6.encode("ascii")).hexdigest()
 
 
@@ -269,15 +274,19 @@ def parse_edge_list(text: str) -> Graph:
 # bipartitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """A graph together with a certified two-sided partition, |A| <= |B|."""
-
+class _BipartiteFields(NamedTuple):
     graph: Graph
     side_a: int
     side_b: int
 
-    def __post_init__(self):
+
+class BipartiteGraph(_BipartiteFields):
+    """A graph together with a certified two-sided partition, |A| <= |B|."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, side_a: int, side_b: int):
+        self = super().__new__(cls, graph, side_a, side_b)
         g = self.graph
         if self.side_a & self.side_b:
             raise ValueError("sides overlap")
@@ -291,6 +300,7 @@ class BipartiteGraph:
         for v in iter_bits(self.side_b):
             if g.neighbors[v] & self.side_b:
                 raise ValueError("edge inside side B")
+        return self
 
     @property
     def size_a(self) -> int:

@@ -13,8 +13,7 @@ backtracking search.  The implication is checked, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError
 
@@ -102,8 +101,7 @@ def disjoint_row_cover(m: BiadjacencyMatrix, rows_wanted: int):
     return min(solutions) if solutions else None
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     rank: int
     full_rank: bool
     m_rows: int

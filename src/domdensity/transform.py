@@ -15,10 +15,10 @@ gamma(G box H) + m_star * |V(H)| >= gamma(G) gamma(H) term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
+from typing import NamedTuple
 
 from .criteria import CriterionVerdict
 from .density import rho
@@ -58,8 +58,7 @@ def m_star(x_size: int, dx_size: int, rho_h: Fraction) -> int | None:
     return s if s <= dx_size else None
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
+class SplitCandidate(NamedTuple):
     """One (minimum dominating set, side) option for the escalation;
     ``dset`` is the set's vertex mask."""
 
@@ -72,8 +71,7 @@ class SplitCandidate:
     equality_gap: bool
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of the side-proportion hypothesis over minimum dominating sets.
 
     ``gate_met`` is the non-strict proportion test on some side; ``chosen``
@@ -153,8 +151,7 @@ def evaluate_hypothesis(bg: BipartiteGraph, rho_h: Fraction,
 # the constructive inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstructiveReport:
+class ConstructiveReport(NamedTuple):
     applicable: bool
     hypothesis: HypothesisReport
     gamma_g: int
@@ -216,8 +213,7 @@ def constructive_inequality_check(bg: BipartiteGraph, h: Graph,
 # iterated leaf attachment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransformRound:
+class TransformRound(NamedTuple):
     index: int
     key: str
     delta: int
@@ -240,8 +236,7 @@ class TransformRound:
         }
 
 
-@dataclass(frozen=True)
-class TransformTrace:
+class TransformTrace(NamedTuple):
     hypothesis: HypothesisReport
     side_x: str | None
     m_star: int | None

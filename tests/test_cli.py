@@ -139,6 +139,22 @@ class TestCheckVizing:
         assert main(["check-vizing", str(big), str(big),
                      "--max-vertices", "100"]) == EXIT_CAPACITY
 
+    # A cap below 1 is malformed input, refused before any graph is read,
+    # also by transform without --h, which builds no product.
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["check-vizing", "@c5", "@c5"],
+        ["transform", "@c4", "--rho-h", "1/2", "--delta-h", "2"],
+    ], ids=["check-vizing", "transform"])
+    def test_non_positive_max_vertices_is_an_input_error(self, request, capsys,
+                                                          argv, cap):
+        argv = [request.getfixturevalue(a[1:] + "_file") if a.startswith("@") else a
+                for a in argv]
+        assert main([*argv, "--max-vertices", cap]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --max-vertices must be at least 1, not {cap}\n"
+
 
 class TestScan:
     def test_scan_6_3_finds_worked_example(self, rank6_matrix, capsys):

@@ -1,22 +1,25 @@
 """Exact density arithmetic and its equivalence with the integer form."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from domdensity import (
     Density,
+    bipartition,
     cartesian_product,
     check_vizing,
     complete_bipartite,
+    constructive_inequality_check,
     cycle_graph,
     density_vizing_check,
     disjoint_union,
     empty_graph,
     gamma_value,
+    iterate_leaves,
     max_degree,
+    min_threshold_order,
     rho,
     to_graph,
 )
@@ -31,10 +34,34 @@ def test_density_value_reduces_but_keeps_order():
 
 
 def test_density_validation():
-    with pytest.raises(ValueError):
-        Density(0, 5)
-    with pytest.raises(ValueError):
-        Density(6, 5)
+    for gamma, order, message in [(1, 0, "density needs a positive order"),
+                                  (0, 5, "gamma must lie in 1..order"),
+                                  (6, 5, "gamma must lie in 1..order")]:
+        with pytest.raises(ValueError) as exc:
+            Density(gamma, order)
+        assert str(exc.value) == message
+
+
+def test_report_records_are_immutable():
+    c4 = cycle_graph(4)
+    constructive = constructive_inequality_check(bipartition(c4), c4)
+    trace = iterate_leaves(bipartition(c4), 2, constructive.hypothesis, max_rounds=4)
+    records = [
+        (Density(1, 2), "gamma"),
+        (check_vizing(c4, c4), "holds"),
+        (min_threshold_order(3), "n_min"),
+        (constructive, "holds"),
+        (constructive.hypothesis, "gamma"),
+        (constructive.hypothesis.chosen, "side"),
+        (trace, "satisfied"),
+        (trace.rounds[0], "gamma"),
+        (trace.rounds[0].verdict, "satisfied"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_rho_small_cases(rank6_matrix):
@@ -53,7 +80,7 @@ def test_density_check_trivial_pairs():
     report = check_vizing(c4, c4)
     assert density_vizing_check(c4, c4, report)
     # 3/16 < (2/4)(2/4): the form reads the report, not the graphs
-    assert not density_vizing_check(c4, c4, replace(report, gamma_product=3))
+    assert not density_vizing_check(c4, c4, report._replace(gamma_product=3))
 
 
 def test_density_form_equals_integer_form():

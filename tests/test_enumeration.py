@@ -19,11 +19,17 @@ from domdensity import (
     gamma_brute,
     gamma_value,
     is_unique_form,
+    obstruction_report,
     parse_biadjacency,
     to_graph,
     unique_form_matrix,
 )
-from domdensity.enumeration import SCAN_RECORD_FIELDS, encode_key, record_findings
+from domdensity.enumeration import (
+    SCAN_RECORD_FIELDS,
+    Finding,
+    encode_key,
+    record_findings,
+)
 from conftest import BLOCK6_ROWS, RANK6_ROWS
 
 # (n, k) -> (class count, sha256 of the sorted canonical keys joined by
@@ -151,10 +157,30 @@ def _decode_key(key: str, n: int) -> tuple[int, ...]:
 
 class TestMatrixType:
     def test_validates_row_and_column_sums(self):
-        with pytest.raises(ValueError, match="row 0"):
+        with pytest.raises(ValueError, match="^row 0 sums to 1, expected 2$"):
             BiadjacencyMatrix(3, 2, (0b001, 0b011, 0b110))
-        with pytest.raises(ValueError, match="column"):
+        with pytest.raises(ValueError, match="^column 0 sums to 3, expected 2$"):
             BiadjacencyMatrix(4, 2, (0b0011, 0b0011, 0b0011, 0b1100))
+
+    def test_validates_degree_and_shape(self):
+        for n, k, rows, message in [
+            (2, 3, (0b11, 0b11), "need 1 <= k <= n"),
+            (2, 0, (0b00, 0b00), "need 1 <= k <= n"),
+            (2, 1, (0b01,), "row count does not match order"),
+            (2, 1, (0b100, 0b01), "row 0 references columns >= n"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                BiadjacencyMatrix(n, k, rows)
+            assert str(exc.value) == message
+
+    def test_records_are_immutable(self, rank6_matrix):
+        for record, field in ((rank6_matrix, "k"),
+                              (obstruction_report(rank6_matrix), "rank"),
+                              (Finding("obstruction", "key", {}), "kind")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1)
+            with pytest.raises(AttributeError):
+                record.extra = 1
 
     def test_parse_round_trip(self, rank6_matrix):
         text = rank6_matrix.to_text()

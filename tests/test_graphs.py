@@ -71,20 +71,33 @@ def reference_encode(n: int, edges) -> str:
 
 class TestGraphType:
     def test_rejects_empty_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^graph order must be a positive integer$"):
             Graph(0, ())
 
+    def test_rejects_short_neighbor_table(self):
+        with pytest.raises(ValueError, match="^neighbor table length does not match order$"):
+            Graph(2, (0b10,))
+
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
+        with pytest.raises(ValueError, match="^self-loop at vertex 0$"):
             Graph(2, (0b01, 0b01))
 
     def test_rejects_asymmetry(self):
-        with pytest.raises(ValueError, match="asymmetric"):
+        with pytest.raises(ValueError, match="^asymmetric adjacency between 0 and 1$"):
             Graph(2, (0b10, 0b00))
 
     def test_rejects_out_of_range_mask(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^neighbour mask of vertex 0 references vertices >= n$"):
             Graph(2, (0b100, 0b000))
+
+    def test_graph_types_are_immutable(self):
+        g = cycle_graph(4)
+        for record, field in ((g, "n"), (bipartition(g), "side_a")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1)
+            with pytest.raises(AttributeError):
+                record.extra = 1
 
     def test_edge_count_and_edges(self):
         g = cycle_graph(5)
@@ -173,6 +186,14 @@ class TestGraph6:
         assert graph_key(complete_bipartite(1, 1)) == "A_"
         assert graph_key(empty_graph(63)).startswith("sha256:")
 
+    def test_graph_keys_pinned_on_both_sides_of_the_hash_cutoff(self):
+        # Keys already in cache files: n <= 62 is raw graph6, n >= 63 is
+        # the sha256 of the graph6 string.
+        assert graph_key(cycle_graph(62)) == emit_graph6(cycle_graph(62))
+        assert graph_key(cycle_graph(5)) == "Dhc"
+        assert graph_key(cycle_graph(63)) == (
+            "sha256:56a3cdea739a3cf261e541715563196d34f5a7d9c51515a5daae447e3dd00883")
+
 
 class TestEdgeList:
     def test_parse_with_comments(self):
@@ -242,8 +263,17 @@ class TestBipartition:
             assert bg.side_a | bg.side_b == g.vertex_mask
 
     def test_side_validation(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph(cycle_graph(4), 0b0011, 0b1100)  # edge inside a side
+        c4, p3 = cycle_graph(4), path_graph(3)
+        for g, side_a, side_b, message in [
+            (c4, 0b0101, 0b1011, "sides overlap"),
+            (c4, 0b0001, 0b1010, "sides do not cover the vertex set"),
+            (p3, 0b101, 0b010, "side A must not be larger than side B"),
+            (c4, 0b0011, 0b1100, "edge inside side A"),
+            (p3, 0b001, 0b110, "edge inside side B"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                BipartiteGraph(g, side_a, side_b)
+            assert str(exc.value) == message
 
 
 class TestProducts:

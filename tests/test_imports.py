@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/domdensity`` is named by its module.
+"""Every module-level import in ``src/domdensity`` is named by its module,
+and importing the command line loads no module that only slows start-up.
 
 No linter ships with the toolchain, so this is the unused-import check:
 each module is parsed with ``ast`` and every name a top-level import binds
@@ -6,6 +7,9 @@ must appear as a name somewhere in the module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,24 @@ def test_every_import_is_used(module):
               for name, line in _module_imports(tree)
               if name not in named and (module, name) not in ALLOWED_UNUSED]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# Each is slow to import and answers nothing a command prints: dataclasses
+# (with inspect behind it) and hashlib's OpenSSL binding, which graph_key
+# loads only for a graph with more than 62 vertices.
+STARTUP_FREE = {"dataclasses", "inspect", "hashlib"}
+
+
+def _modules_after(statement: str) -> set[str]:
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    code = f"import sys\n{statement}\nprint(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    return set(out.stdout.split())
+
+
+def test_cli_import_adds_no_slow_modules():
+    added = _modules_after("import domdensity.cli") - _modules_after("pass")
+    assert "domdensity.cli" in added
+    assert not added & STARTUP_FREE, sorted(added & STARTUP_FREE)
