@@ -2,22 +2,24 @@
 
 ``gamma_exact`` is a branch and bound specialised to closed-neighbourhood
 covering: vertices are preferred in descending-degree order (ties by index),
-the incumbent is seeded by a greedy max-coverage pass, and branches are cut
-by two admissible lower bounds, ceil(uncovered / (max degree + 1)) and a
-greedily built 2-packing of the uncovered region.  The packing is taken in
-ascending vertex order, and packing v discards every uncovered vertex within
-distance 2 of v (precomputed as ``ball2[v]``), so it costs one step per
-packed vertex.  The branch vertex is the uncovered vertex with the fewest
-allowed dominators; a ``near`` mask, the union of the closed neighbourhoods
-of the vertices excluded so far, is carried down the search so that only
-uncovered vertices inside it are counted, since every other one keeps its
-whole closed neighbourhood.
+the incumbent is seeded by a greedy max-coverage pass, and a node with
+``need`` = best - count more vertices to beat the incumbent is cut by two
+admissible lower bounds: ceil(uncovered / (max degree + 1)) >= need, or a
+greedily built 2-packing of the uncovered region reaching need.  The packing
+is taken in ascending vertex order, and packing v keeps only the uncovered
+vertices outside distance 2 of v (precomputed as ``far[v]``), so it costs one
+step per packed vertex; it stops as soon as it reaches need, which makes the
+same cut decision as the whole packing would.  The branch vertex is the
+uncovered vertex with the fewest allowed dominators; a ``near`` mask, the
+union of the closed neighbourhoods of the vertices excluded so far, is
+carried down the search so that only uncovered vertices inside it are
+counted, since every other one keeps its whole closed neighbourhood.
 
-One recursive descent serves both passes.  It cuts a branch when
-count + lower bound >= ``best``, sets ``best`` to the size of every full
-cover it reaches, and stops at the first cover of size <= ``goal``.  The
-value pass sets ``goal`` to -1 and ``best`` to the greedy cover's size, so
-it never stops early and ends with the optimum in ``best``.
+One recursive descent serves both passes.  It carries the chosen vertices
+as a mask, records every full cover it reaches as ``found`` and its size as
+``best``, and stops at the first cover of size <= ``goal``.  The value pass
+sets ``goal`` to -1 and ``best`` and ``found`` to the greedy cover, so it
+never stops early and ends with an optimal cover in ``found``.
 
 ``gamma_brute`` is the independent oracle: plain subset enumeration in
 increasing size order, kept free of the solver's pruning machinery.
@@ -25,7 +27,13 @@ increasing size order, kept free of the solver's pruning machinery.
 Witnesses are deterministic: among all minimum dominating sets the one whose
 sorted vertex tuple is lexicographically smallest is reconstructed by fixing
 vertices in ascending order, each probe a descent with ``goal`` = gamma and
-``best`` = gamma + 1 (a feasibility search at the known optimum).
+``best`` = gamma + 1 (a feasibility search at the known optimum).  The
+witness pass is seeded with ``found``: when it holds the vertices fixed so
+far and then c, the probe at c is known to succeed, so only the vertices
+below c are probed and c is taken with no search; a probe that succeeds
+makes its own cover the new incumbent.  With gamma read from the cache and
+no value pass, the probes run unseeded until the first one succeeds.  A
+probe that reaches a cover smaller than gamma is a wrong cached value.
 """
 
 from __future__ import annotations
@@ -92,12 +100,13 @@ class _Search:
             tuple(sorted(bit_list(self.closed[v]), key=lambda u: self.pref[u]))
             for v in range(g.n)
         ]
-        # ball2[v]: every vertex within distance 2 of v, i.e. every w whose
-        # closed neighbourhood meets closed[v].
-        self.ball2 = [0] * g.n
+        # far[v]: every vertex farther than distance 2 from v, i.e. every w
+        # whose closed neighbourhood misses closed[v]; a 2-packing that takes
+        # v may still take only these.
+        self.far = [self.full] * g.n
         for v in range(g.n):
             for u in bit_list(self.closed[v]):
-                self.ball2[v] |= self.closed[u]
+                self.far[v] &= ~self.closed[u]
         # Vertices by closed-neighbourhood size, smallest size first; within
         # one size, pref is index order.
         sizes = {}
@@ -110,6 +119,7 @@ class _Search:
         self.near_prefix = list(accumulate(self.closed, or_))
         self.goal = -1
         self.best = g.n
+        self.found = 0  # the last full cover reached, of size best
 
     def greedy_cover(self) -> int:
         covered = 0
@@ -126,19 +136,6 @@ class _Search:
             chosen |= 1 << best_v
             covered |= self.closed[best_v]
         return chosen
-
-    def lower_bound(self, covered: int) -> int:
-        uncovered = self.full & ~covered
-        count = uncovered.bit_count()
-        lb = -(-count // self.cover_span)
-        # Greedy 2-packing in ascending order: packing v rules out every
-        # uncovered vertex within distance 2 of it.
-        packing = 0
-        m = uncovered
-        while m:
-            packing += 1
-            m &= ~self.ball2[(m & -m).bit_length() - 1]
-        return packing if packing > lb else lb
 
     def _pick(self, covered: int, allowed: int, near: int) -> int:
         """Uncovered vertex with the fewest allowed dominators (-1 if any has none).
@@ -175,17 +172,28 @@ class _Search:
         return best_v
 
     def minimum_size(self, seed: int) -> int:
-        self.goal, self.best = -1, seed.bit_count()
+        self.goal, self.best, self.found = -1, seed.bit_count(), seed
         self._descend(0, 0, self.full, 0)
         return self.best
 
-    def _descend(self, count: int, covered: int, allowed: int, near: int) -> bool:
+    def _descend(self, chosen: int, covered: int, allowed: int, near: int) -> bool:
         """Branch and bound below one node; True at a cover of size <= goal."""
+        count = chosen.bit_count()
         if covered == self.full:
-            self.best = count
+            self.best, self.found = count, chosen
             return count <= self.goal
-        if count + self.lower_bound(covered) >= self.best:
+        need = self.best - count
+        uncovered = self.full & ~covered
+        if -(-uncovered.bit_count() // self.cover_span) >= need:
             return False
+        # Greedy 2-packing in ascending order, stopped once it reaches need.
+        far = self.far
+        m = uncovered
+        while m:
+            need -= 1
+            if not need:
+                return False
+            m &= far[(m & -m).bit_length() - 1]
         v = self._pick(covered, allowed, near)
         if v < 0:
             return False
@@ -194,7 +202,7 @@ class _Search:
             if rest >> u & 1:
                 rest ^= 1 << u
                 near |= self.closed[u]
-                if self._descend(count + 1, covered | self.closed[u], rest, near):
+                if self._descend(chosen | 1 << u, covered | self.closed[u], rest, near):
                     return True
         return False
 
@@ -207,18 +215,23 @@ class _Search:
         chosen = 0
         covered = 0
         lo = 0
-        for step in range(gamma):
-            for v in range(lo, self.n):
-                grown = covered | self.closed[v]
-                allowed = self.full & ~((1 << (v + 1)) - 1)
+        for _ in range(gamma):
+            # An incumbent ``found`` holds ``chosen`` and then its next vertex
+            # c, so a probe at c would succeed: probe only lo..c-1 (with no
+            # incumbent, every vertex from lo on).
+            rest = self.found >> lo
+            c = lo + (rest & -rest).bit_length() - 1 if rest else self.n
+            for v in range(lo, c):
                 self.goal, self.best = gamma, gamma + 1
-                if self._descend(step + 1, grown, allowed, self.near_prefix[v]):
-                    chosen |= 1 << v
-                    covered = grown
-                    lo = v + 1
+                if self._descend(chosen | 1 << v, covered | self.closed[v],
+                                 self.full & ~((2 << v) - 1), self.near_prefix[v]):
+                    c = v
                     break
-            else:
-                break  # no vertex extends to a cover of size gamma
+            if c == self.n or self.found.bit_count() < gamma:
+                break  # no cover of size gamma extends chosen, or a smaller one exists
+            chosen |= 1 << c
+            covered |= self.closed[c]
+            lo = c + 1
             if covered == self.full:
                 break
         if covered != self.full or chosen.bit_count() != gamma:

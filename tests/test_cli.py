@@ -584,6 +584,23 @@ def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
     assert err.startswith("input error: ") and "domination number" in err
 
 
+def test_cached_value_above_a_reached_cover_is_an_input_error(tmp_path, capsys):
+    # gamma = 3 with witness [0, 1, 3]; cached as 4, a witness probe reaches
+    # a 3-vertex dominating set, so 4 cannot be the domination number.
+    graph = tmp_path / "g8.edges"
+    graph.write_text("0 4\n0 5\n0 7\n1 2\n2 5\n2 6\n2 7\n3 6\n4 5\n4 7\n5 6\n")
+    cache = tmp_path / "gamma.cache"
+    assert main(["gamma", str(graph), "--cache", str(cache)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("gamma = 3\nwitness = [0, 1, 3]\n")
+    key, _value, _witness = cache.read_text().split()
+    cache.write_text(f"{key} 4\n")
+    assert main(["gamma", str(graph), "--cache", str(cache)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("input error: 4 is not this graph's domination number"
+                   " (a wrong gamma cache entry?)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "4", "2", "--output", "MISSING/scan.out"],
     ["gamma", "C4", "--cache", "MISSING/gamma.cache"],

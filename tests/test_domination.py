@@ -29,8 +29,23 @@ from domdensity import (
     to_graph,
 )
 from domdensity.catalog import all_graphs
+from domdensity.domination import _Search
 from domdensity.graphs import bit_list
 from conftest import random_graph
+
+
+def witness_oracle_graphs():
+    rng = random.Random(7)
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    return graphs + [random_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.9))
+                     for _ in range(500)]
+
+
+def first_minimum_set(g, gamma):
+    # combinations() yields sorted tuples in lexicographic order, so the
+    # first dominating one of size gamma is the lex-min witness.
+    masks = (sum(1 << v for v in combo) for combo in combinations(range(g.n), gamma))
+    return next(m for m in masks if is_dominating(g, m))
 
 
 class TestIsDominating:
@@ -93,17 +108,25 @@ class TestGammaExact:
         assert gamma == 2 and bit_list(witness) == [0, 1]
 
     def test_witness_is_first_minimum_set_in_combination_order(self):
-        # combinations() yields sorted tuples in lexicographic order, so the
-        # first dominating one of size gamma is the lex-min witness.
-        rng = random.Random(7)
-        graphs = [g for n in range(1, 7) for g in all_graphs(n)]
-        graphs += [random_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.9))
-                   for _ in range(500)]
-        for g in graphs:
+        for g in witness_oracle_graphs():
             gamma, witness = gamma_exact(g)
-            masks = (sum(1 << v for v in combo)
-                     for combo in combinations(range(g.n), gamma))
-            assert witness == next(m for m in masks if is_dominating(g, m))
+            assert witness == first_minimum_set(g, gamma)
+
+    def test_unseeded_witness_pass_is_first_minimum_set(self, monkeypatch):
+        # A cache of bare `key value` lines runs no value pass, so the witness
+        # probes start with no incumbent cover.
+        graphs = witness_oracle_graphs()
+        values = [gamma_value(g) for g in graphs]
+        monkeypatch.setattr(_Search, "minimum_size", None)
+        for g, gamma in zip(graphs, values):
+            cache = GammaCache()
+            cache.put(graph_key(g), gamma)
+            assert gamma_exact(g, cache) == (gamma, first_minimum_set(g, gamma))
+            if gamma > 1:
+                cache = GammaCache()
+                cache.put(graph_key(g), gamma - 1)
+                with pytest.raises(ValueError, match="domination number"):
+                    gamma_exact(g, cache)
 
     def test_agrees_with_oracle_exhaustively_to_7(self):
         for n in range(1, 8):
@@ -144,6 +167,32 @@ class TestGammaExact:
             k = rng.randrange(1, len(members) + 1)
             subset = sum(1 << v for v in rng.sample(members, k))
             assert gamma_value(attach_leaves(g, subset)) == gamma
+
+
+class TestSearchNodes:
+    """The value pass keeps its search tree; its cover seeds the witness pass."""
+
+    @pytest.mark.parametrize("a, b, value_nodes, unseeded_witness_nodes", [
+        (7, 7, 10_451, 8_619),
+        (8, 9, 137_292, 40_840),
+    ], ids=["C7xC7", "C8xC9"])
+    def test_descend_calls_per_pass(self, monkeypatch, a, b, value_nodes,
+                                    unseeded_witness_nodes):
+        calls = 0
+        descend = _Search._descend
+
+        def counted(search, *args):
+            nonlocal calls
+            calls += 1
+            return descend(search, *args)
+
+        monkeypatch.setattr(_Search, "_descend", counted)
+        search = _Search(cartesian_product(cycle_graph(a), cycle_graph(b)))
+        gamma = search.minimum_size(search.greedy_cover())
+        assert calls == value_nodes
+        calls = 0
+        search.lexmin_witness(gamma)
+        assert calls < unseeded_witness_nodes / 2
 
 
 class TestKnownValues:
