@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .criteria import (
@@ -23,13 +24,7 @@ from .criteria import (
     threshold_condition,
 )
 from .density import density_vizing_check
-from .domination import (
-    GammaCache,
-    _complete_lines,
-    _cut_torn_tail,
-    check_vizing,
-    gamma_exact,
-)
+from .domination import GammaCache, check_vizing, gamma_exact
 from .enumeration import (
     SCAN_RECORD_FIELDS,
     # Unused here: bench/test_bench.py::test_traced_generator_and_rebinding
@@ -69,34 +64,27 @@ EXIT_FINDING = 4
 # input loading
 # ---------------------------------------------------------------------------
 
-def load_graph_text(text: str, fmt: str = "auto") -> Graph:
-    if fmt == "auto":
-        content = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        content = [ln for ln in content if ln]
-        if content and all(set(ln) <= {"0", "1"} for ln in content):
-            fmt = "biadjacency"
-        elif content and len(content[0].split()) == 2:
-            fmt = "edgelist"
-        else:
-            fmt = "graph6"
-    if fmt == "biadjacency":
+def load_graph_text(text: str) -> Graph:
+    """A graph in the format its content shows: rows of 0/1 (a biadjacency
+    matrix), two fields on the first line (an edge list), or else graph6."""
+    content = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    content = [ln for ln in content if ln]
+    if content and all(set(ln) <= {"0", "1"} for ln in content):
         return to_graph(parse_biadjacency(text)).graph
-    if fmt == "edgelist":
+    if content and len(content[0].split()) == 2:
         return parse_edge_list(text)
-    if fmt == "graph6":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty graph6 input")
-        return parse_graph6(lines[0])
-    raise ParseError(f"unknown input format {fmt!r}")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty graph6 input")
+    return parse_graph6(lines[0])
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return load_graph_text(text, fmt)
+    return load_graph_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +131,7 @@ def _frac(fr: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gamma(args) -> int:
-    g = _load_graph(args.input, args.input_format)
+    g = _load_graph(args.input)
     cache = GammaCache(args.cache) if args.cache else None
     gamma, witness = gamma_exact(g, cache)
     record = {
@@ -181,8 +169,8 @@ def _regular_degree(g: Graph) -> int | None:
 
 
 def cmd_check_vizing(args) -> int:
-    g = _load_graph(args.g, args.input_format)
-    h = _load_graph(args.h, args.input_format)
+    g = _load_graph(args.g)
+    h = _load_graph(args.h)
     cache = GammaCache(args.cache) if args.cache else None
     report = check_vizing(g, h, cache, args.max_vertices)
     density_ok = density_vizing_check(g, h, report)
@@ -249,69 +237,18 @@ def cmd_check_vizing(args) -> int:
     return EXIT_OK
 
 
-def _scanned_records(path: str, n: int, k: int) -> dict[str, dict]:
-    """Class records already written to a JSON-lines scan output, by key.
-
-    Every complete line must be a class record or a summary of the scanned
-    (n, k) cell.  Every stored record must belong to that cell and carry a
-    gamma in 1..n: side X dominates a k-regular bipartite graph, k >= 1.
-    Once all complete lines are accepted, a torn final line is cut off the
-    file, so the resumed run scans that class again and appends its record
-    on a line of its own.  A summary on the last complete line is cut with
-    it (an earlier one is skipped), so resuming a complete output rewrites
-    the same bytes.
-    """
-    try:
-        complete = _complete_lines(path)
-    except FileNotFoundError:
-        return {}
-    records = {}
-    lines = complete.split(b"\n")[:-1]
-    for lineno, line in enumerate(lines, 1):
-        try:
-            obj = json.loads(line.decode(errors="replace"))
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict) and obj.get("type") == "summary" \
-                and (obj.get("n"), obj.get("k")) == (n, k):
-            if lineno == len(lines):
-                complete = complete[:-len(line) - 1]
-            continue
-        if not isinstance(obj, dict) or "key" not in obj:
-            raise ParseError(f"{path}:{lineno}: not a scan record")
-        missing = [f for f in SCAN_RECORD_FIELDS if f not in obj]
-        if missing:
-            raise ParseError(f"{path}: record {obj['key']!r} lacks {', '.join(missing)}")
-        # type(), not isinstance(): JSON true is no int.
-        for name, types in SCAN_RECORD_FIELDS.items():
-            value = obj[name]
-            if type(value) not in types or (
-                    type(value) is list and any(type(x) is not int for x in value)):
-                raise ParseError(f"{path}: record {obj['key']!r} has a malformed {name}")
-        for name, ok in (("n", obj["n"] == n), ("k", obj["k"] == k),
-                         ("gamma", 1 <= obj["gamma"] <= n)):
-            if not ok:
-                raise ParseError(f"{path}: record {obj['key']!r} has a malformed {name}")
-        records[obj["key"]] = obj
-    _cut_torn_tail(path, complete)
-    return records
-
-
 def cmd_scan(args) -> int:
-    if args.resume and (not args.output or args.format != "json"):
-        raise ParseError("--resume needs --output and --format json")
-    done = _scanned_records(args.output, args.n, args.k) if args.resume else {}
-    cache = GammaCache(args.cache) if args.cache else None
-    out = open(args.output, "a" if args.resume else "w") if args.output else sys.stdout
+    # enumerate_kreg checks the cell when its first class is asked for, and
+    # every valid cell has one: a refused cell leaves --output as it was.
+    generated = enumerate_kreg(args.n, args.k, args.allow_large)
+    first = next(generated)
+    out = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "csv":
-            table = csv.DictWriter(out, fieldnames=list(SCAN_RECORD_FIELDS))
+            table = csv.DictWriter(out, fieldnames=SCAN_RECORD_FIELDS)
+            table.writeheader()
 
             def write(r):
-                # csv never resumes, so the first write is the first class;
-                # a cell refused by enumeration writes no header.
-                if not classes:
-                    table.writeheader()
                 table.writerow(_flatten(r))
         elif args.format == "text":
             def write(r):
@@ -323,18 +260,15 @@ def cmd_scan(args) -> int:
             def write(r):
                 out.write(json.dumps(r, sort_keys=True) + "\n")
 
-        # enumerate_kreg yields the representatives in key order.  Each fresh
-        # record is on disk before the next class is generated; the summary
-        # and the exit status cover the whole cell, records a resumed run
-        # found in --output included.
+        # enumerate_kreg yields the representatives in key order.  Each record
+        # is on disk before the next class is generated, so a killed scan
+        # keeps every finished record; the same command run again writes the
+        # bytes of an uninterrupted run.
         classes, max_gamma, findings = 0, 0, []
-        for m in enumerate_kreg(args.n, args.k, args.allow_large):
-            key = encode_key(m.n, m.k, m.rows)
-            record = done.get(key)
-            if record is None:
-                record = class_record(m, cache, key)
-                write(record)
-                out.flush()
+        for m in chain([first], generated):
+            record = class_record(m, encode_key(m.n, m.k, m.rows))
+            write(record)
+            out.flush()
             classes += 1
             max_gamma = max(max_gamma, record["gamma"])
             findings += record_findings(m, record)
@@ -391,13 +325,13 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    g = _load_graph(args.input, args.input_format)
+    g = _load_graph(args.input)
     bg = bipartition(g)
     if bg is None:
         raise ParseError("transform input must be bipartite")
     cache = GammaCache(args.cache) if args.cache else None
     if args.h:
-        h = _load_graph(args.h, args.input_format)
+        h = _load_graph(args.h)
         delta_h = max_degree(h)
         constructive = constructive_inequality_check(bg, h, cache, args.max_vertices)
         hyp = constructive.hypothesis
@@ -460,32 +394,26 @@ def build_parser() -> argparse.ArgumentParser:
     tabular.add_argument("--format", choices=("json", "csv", "text"), default="text")
     cached = argparse.ArgumentParser(add_help=False)
     cached.add_argument("--cache", help="path of the persistent gamma cache log")
-    graph_files = argparse.ArgumentParser(add_help=False)
-    graph_files.add_argument("--input-format", choices=("auto", "graph6", "edgelist",
-                                                        "biadjacency"), default="auto")
     products = argparse.ArgumentParser(add_help=False)
     products.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_PRODUCT_VERTICES)
 
-    p = sub.add_parser("gamma", parents=[tabular, cached, graph_files],
+    p = sub.add_parser("gamma", parents=[tabular, cached],
                        help="exact domination number with bounds")
     p.add_argument("input")
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("check-vizing", parents=[tabular, cached, graph_files, products],
+    p = sub.add_parser("check-vizing", parents=[tabular, cached, products],
                        help="product inequality plus every applicable criterion")
     p.add_argument("g")
     p.add_argument("h")
     p.set_defaults(func=cmd_check_vizing)
 
-    p = sub.add_parser("scan", parents=[tabular, cached],
+    p = sub.add_parser("scan", parents=[tabular],
                        help="exhaustive k-regular bipartite class scan")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--output", help="write JSON-lines records here")
-    p.add_argument("--resume", action="store_true",
-                   help="skip classes whose keys already appear in --output"
-                        " (needs --format json)")
+    p.add_argument("--output", help="write the records here, not to stdout")
     p.set_defaults(func=cmd_scan)
 
     # --cache is not read: the products-warm benchmark passes it to every command.
@@ -496,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print published reference values alongside computed ones")
     p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("transform", parents=[cached, graph_files, products],
+    p = sub.add_parser("transform", parents=[cached, products],
                        help="iterated leaf attachment trace")
     # Trace rounds are a list of records, which a csv cell cannot hold.
     p.add_argument("--format", choices=("json", "text"), default="text")

@@ -318,23 +318,6 @@ def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None,
     )
 
 
-def _complete_lines(path: str | Path) -> bytes:
-    """The contents of an append-only log up to its last newline.
-
-    A final line without its newline is the torn write of a killed run.
-    It is left on disk until the caller has accepted every complete line;
-    then ``_cut_torn_tail`` removes it.
-    """
-    data = Path(path).read_bytes()
-    return data[:data.rfind(b"\n") + 1]
-
-
-def _cut_torn_tail(path: str | Path, complete: bytes):
-    """Cut the file back to ``complete``, so the next append starts a line."""
-    if Path(path).stat().st_size > len(complete):
-        os.truncate(path, len(complete))
-
-
 class GammaCache:
     """Persistent gamma cache: an append-only text log, one graph per line.
 
@@ -342,9 +325,10 @@ class GammaCache:
     lex-min minimum dominating set in lowercase hex.  A key may recur (a
     value line, then the line that adds its mask), but every line of a key
     must agree.  The whole log is reloaded at startup; writes go through a
-    single writer (this object) and are flushed immediately so scans can be
-    resumed.  A torn final line is dropped (a torn "key 12" may read
-    "key 1"), once every complete line has been accepted; any other
+    single writer (this object) and are flushed immediately, so a killed run
+    keeps every value it solved.  A final line without its newline is the
+    torn write of a killed run: it is cut off the file (a torn "key 12" may
+    read "key 1"), once every complete line has been accepted; any other
     malformed line, a value that is not a positive integer or a mask whose
     size is not the value included, is rejected.
     """
@@ -354,7 +338,8 @@ class GammaCache:
         self._witnesses: dict[str, int] = {}
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
-            complete = _complete_lines(self._path)
+            data = self._path.read_bytes()
+            complete = data[:data.rfind(b"\n") + 1]
             for lineno, line in enumerate(complete.decode().splitlines(), 1):
                 fields = line.split()
                 if not fields:
@@ -373,7 +358,8 @@ class GammaCache:
                         raise ValueError(f"{where}: conflicting cache line")
                 if self._values.setdefault(key, value) != value:
                     raise ValueError(f"{where}: conflicting cache line")
-            _cut_torn_tail(self._path, complete)
+            if len(data) > len(complete):
+                os.truncate(self._path, len(complete))
 
     def __len__(self) -> int:
         return len(self._values)

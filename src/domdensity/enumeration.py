@@ -18,10 +18,9 @@ This module is the one place a class is evaluated.  ``class_record``
 gives its complete scan record: exact gamma, the conjectured bound
 2*ceil(n/k), the order bound 2r, the n = k + 2 structure tag, and the
 rank/cover obstruction report.  ``record_findings`` reads every finding
-off such a record, so a fresh evaluation and a record stored by an earlier
-run report the same findings.  The ``scan`` command's one loop over
-``enumerate_kreg`` goes through these two; violations become findings
-instead of being asserted away.
+off such a record.  The ``scan`` command's one loop over ``enumerate_kreg``
+goes through these two; violations become findings instead of being
+asserted away.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .criteria import conjectured_kreg_bound, kreg_order_bound
-from .domination import GammaCache, gamma_value
+from .domination import gamma_value
 from .errors import CapacityError, ParseError, PreconditionError
 from .graphs import BipartiteGraph, Graph, is_connected
 from .rankcheck import obstruction_report
@@ -329,16 +328,12 @@ def is_unique_form(m: BiadjacencyMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 # The fields of a class record, in the order ``class_record`` builds them
-# and ``scan`` writes them, each with the JSON types its value takes (a list
-# holds ints): the key, gamma, both bounds, structure tag and connectivity,
-# then the fields of its ``rankcheck.ObstructionReport``.
-SCAN_RECORD_FIELDS = {
-    "key": (str,), "n": (int,), "k": (int,), "gamma": (int,),
-    "conj_bound": (int,), "order_bound": (int, type(None)), "case": (str,),
-    "connected": (bool,), "rank": (int,), "full_rank": (bool,),
-    "m_rows": (int,), "m_integral": (bool,), "cover_exists": (bool,),
-    "cover_witness": (list, type(None)),
-}
+# and ``scan`` writes them: the key, gamma, both bounds, structure tag and
+# connectivity, then the fields of its ``rankcheck.ObstructionReport``.
+SCAN_RECORD_FIELDS = (
+    "key", "n", "k", "gamma", "conj_bound", "order_bound", "case", "connected",
+    "rank", "full_rank", "m_rows", "m_integral", "cover_exists", "cover_witness",
+)
 
 
 class Finding(NamedTuple):
@@ -365,8 +360,7 @@ _CASE_GAMMA = {"gamma2": 2, "gamma3": 3, "gamma4-unique-form": 4}
 
 def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
     """Every finding of class ``m``, read off its record (the fields of
-    ``SCAN_RECORD_FIELDS``), so a stored record gives the same findings as
-    a fresh evaluation.  The obstruction finding comes last."""
+    ``SCAN_RECORD_FIELDS``).  The obstruction finding comes last."""
     key, gamma, case = record["key"], record["gamma"], record["case"]
     findings: list[Finding] = []
     expected = _CASE_GAMMA.get(case)
@@ -395,13 +389,12 @@ def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
     return findings
 
 
-def class_record(m: BiadjacencyMatrix, cache: GammaCache | None = None,
-                 key: str | None = None) -> dict:
+def class_record(m: BiadjacencyMatrix, key: str | None = None) -> dict:
     """Evaluate one class: its complete record, as ``scan`` writes it."""
     n, k = m.n, m.k
     key = key if key is not None else canonical_key(m)
     bg = to_graph(m)
-    record = {"key": key, "n": n, "k": k, "gamma": gamma_value(bg.graph, cache),
+    record = {"key": key, "n": n, "k": k, "gamma": gamma_value(bg.graph),
               "conj_bound": conjectured_kreg_bound(n, k),
               "order_bound": kreg_order_bound(n, k) if n > max(k, 1) else None,
               "case": _case(m), "connected": is_connected(bg.graph),

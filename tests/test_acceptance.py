@@ -90,7 +90,7 @@ def test_criterion_03_block_form_example(block6_matrix, cache):
     g = to_graph(block6_matrix).graph
     assert gamma_value(g, cache) == 4 == gamma_brute(g)
     assert is_unique_form(block6_matrix)
-    records = [class_record(m, cache) for m in enumerate_kreg(6, 4)]
+    records = [class_record(m) for m in enumerate_kreg(6, 4)]
     gamma4 = [r for r in records if r["gamma"] == 4]
     assert len(gamma4) == 1
     assert gamma4[0]["key"] == canonical_key(block6_matrix)
@@ -98,7 +98,7 @@ def test_criterion_03_block_form_example(block6_matrix, cache):
     _finish(3, "triple-block (6,4) example and scan", started, 30.0)
 
 
-def test_criterion_04_small_balanced_cases(cache):
+def test_criterion_04_small_balanced_cases():
     started = time.perf_counter()
     from domdensity import unique_form_matrix
     cells = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5),
@@ -108,7 +108,7 @@ def test_criterion_04_small_balanced_cases(cache):
         seen_any = False
         for matrix in enumerate_kreg(n, k, allow_large=n == 8):
             seen_any = True
-            record = class_record(matrix, cache)
+            record = class_record(matrix)
             findings = record_findings(matrix, record)
             assert not findings, (k, n, findings)
             if n <= k + 1:
@@ -129,13 +129,13 @@ def test_criterion_04_small_balanced_cases(cache):
     _finish(4, "n in {k, k+1, k+2} exhaustive verification", started, 300.0)
 
 
-def test_criterion_05_conjecture_scan_to_7(cache):
+def test_criterion_05_conjecture_scan_to_7():
     started = time.perf_counter()
     confirmed = []
     for n in range(1, 8):
         for k in range(1, n + 1):
             findings = [f for m in enumerate_kreg(n, k)
-                        for f in record_findings(m, class_record(m, cache))]
+                        for f in record_findings(m, class_record(m))]
             for finding in findings:
                 if finding.kind != "conjecture-bound":
                     continue

@@ -56,9 +56,6 @@ class TestInputDetection:
         assert load_graph_text(rank6_matrix.to_text()).n == 12
         assert load_graph_text(emit_graph6(star(9))).n == 10
 
-    def test_explicit_format_override(self):
-        assert load_graph_text("A_", fmt="graph6").n == 2
-
 
 class TestGamma:
     def test_k2_text(self, k2_file, capsys):
@@ -174,82 +171,6 @@ class TestScan:
     def test_scan_over_cap_refused(self, capsys):
         assert main(["scan", "8", "3"]) == EXIT_CAPACITY
 
-    def test_scan_output_and_resume(self, tmp_path, capsys):
-        out = tmp_path / "scan.jsonl"
-        assert main(["scan", "4", "2", "--format", "json",
-                     "--output", str(out)]) == EXIT_OK
-        first = [json.loads(ln) for ln in out.read_text().splitlines()]
-        assert main(["scan", "4", "2", "--format", "json",
-                     "--output", str(out), "--resume"]) == EXIT_OK
-        second = [json.loads(ln) for ln in out.read_text().splitlines()]
-        # resume adds no duplicate class records
-        assert len([r for r in second if "key" in r]) == \
-               len([r for r in first if "key" in r])
-
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_resume_rejects_non_json_format(self, tmp_path, capsys, fmt):
-        out = tmp_path / "scan.out"
-        argv = ["scan", "4", "2", "--format", fmt, "--output", str(out)]
-        assert main(argv) == EXIT_OK
-        before = out.read_text()
-        assert main(argv + ["--resume"]) == EXIT_INPUT
-        assert "--resume" in capsys.readouterr().err
-        assert out.read_text() == before
-
-    def test_resume_needs_output(self, capsys):
-        assert main(["scan", "4", "2", "--format", "json", "--resume"]) == EXIT_INPUT
-        assert "--output" in capsys.readouterr().err
-
-    def test_resume_rejects_incomplete_record(self, tmp_path, capsys):
-        out = tmp_path / "scan.jsonl"
-        out.write_text('{"key": "4.2.3399", "gamma": 2}\n')
-        assert main(["scan", "4", "2", "--format", "json", "--output",
-                     str(out), "--resume"]) == EXIT_INPUT
-        assert "lacks" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("n,k,status", [(4, 1, EXIT_FINDING), (6, 3, EXIT_OK)])
-    @pytest.mark.parametrize("cut", ["complete", "first-record", "torn-line"])
-    def test_resume_matches_uninterrupted_scan(self, tmp_path, capsys,
-                                               n, k, status, cut):
-        argv = ["scan", str(n), str(k), "--format", "json", "--output"]
-        full = tmp_path / "full.jsonl"
-        assert main(argv + [str(full)]) == status
-        text = full.read_text()
-        lines = text.splitlines(keepends=True)
-        end = {"complete": len(text), "first-record": len(lines[0]),
-               "torn-line": len(lines[0]) + 30}[cut]
-        part = tmp_path / "part.jsonl"
-        part.write_text(text[:end])
-        assert main(argv + [str(part), "--resume"]) == status
-        assert part.read_bytes() == full.read_bytes()
-
-    def test_resume_skips_an_earlier_summary(self, tmp_path, capsys):
-        out = tmp_path / "scan.jsonl"
-        argv = ["scan", "5", "3", "--format", "json", "--output", str(out)]
-        assert main(argv) == EXIT_OK
-        summary = out.read_text().splitlines(keepends=True)[-1]
-        with out.open("a") as fh:
-            fh.write(summary)
-        doubled = out.read_bytes()
-        assert main(argv + ["--resume"]) == EXIT_OK
-        assert out.read_bytes() == doubled
-
-    @pytest.mark.parametrize("junk", [
-        "not json at all", "[1,2]", "{}", "",
-        '{"classes": 1, "findings": 0, "k": 3, "max_gamma": 4, "n": 6, "type": "summary"}',
-    ], ids=["text", "list", "keyless", "blank", "summary-of-another-cell"])
-    def test_resume_rejects_a_line_that_is_no_scan_record(self, tmp_path, capsys, junk):
-        out = tmp_path / "scan.jsonl"
-        argv = ["scan", "5", "2", "--format", "json", "--output", str(out)]
-        assert main(argv) == EXIT_OK
-        first = out.read_text().splitlines(keepends=True)[0]
-        out.write_text(first + junk + "\n[1,2]\n")
-        before = out.read_bytes()
-        capsys.readouterr()
-        assert main(argv + ["--resume"]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"input error: {out}:2: not a scan record\n"
-        assert out.read_bytes() == before
-
     def test_scan_8_6_allow_large(self, capsys):
         assert main(["scan", "8", "6", "--allow-large", "--format", "json"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -258,38 +179,6 @@ class TestScan:
         # the output of the generator that keyed every row-sorted matrix
         assert hashlib.sha256(out.encode()).hexdigest() == \
                "89eae5c5b4ce611a417e78f8655e7e561b2c88682e9afaa007458e35fd47029b"
-
-    def test_scan_reuses_its_cache(self, tmp_path, capsys):
-        argv = ["scan", "4", "2", "--format", "json", "--cache", str(tmp_path / "C")]
-        assert main(argv) == EXIT_OK
-        first = capsys.readouterr().out
-        log = (tmp_path / "C").read_bytes()
-        assert log != b""
-        assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out == first
-        assert (tmp_path / "C").read_bytes() == log
-
-    def test_scan_trusts_a_wrong_cached_value(self, tmp_path, capsys):
-        # One cached value is wrong and the other class is a miss: the scan
-        # uses the cached value as it is and reports what it implies.
-        argv = ["scan", "4", "2", "--format", "json", "--cache", str(tmp_path / "C")]
-        assert main(argv) == EXIT_OK
-        capsys.readouterr()
-        first = (tmp_path / "C").read_text().splitlines()[0]
-        (tmp_path / "C").write_text(first.rpartition(" ")[0] + " 9\n")
-        assert main(argv) == EXIT_FINDING
-        captured = capsys.readouterr()
-        assert [json.loads(ln.removeprefix("FINDING: "))
-                for ln in captured.err.splitlines()] == [
-            {"case": "gamma4-unique-form", "expected": 4, "gamma": 9,
-             "key": "4.2.33cc", "kind": "classification"},
-            {"bound": 4, "gamma": 9, "key": "4.2.33cc", "kind": "conjecture-bound"},
-            {"bound": 4, "gamma": 9, "key": "4.2.33cc", "kind": "order-bound"},
-        ]
-        assert json.loads(captured.out.splitlines()[-1])["max_gamma"] == 9
-        # the wrong value is kept and the miss is appended after it
-        log = (tmp_path / "C").read_text().splitlines()
-        assert len(log) == 2 and log[0] == first.rpartition(" ")[0] + " 9"
 
     def test_scan_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -324,9 +213,21 @@ class TestScan:
             main(argv + [str(part)])
         monkeypatch.undo()
         assert part.read_text() == first
-        if fmt == "json":
-            assert main(argv + [str(part), "--resume"]) == EXIT_OK
-            assert part.read_bytes() == full.read_bytes()
+        # A killed scan is completed by running it again.
+        assert main(argv + [str(part)]) == EXIT_OK
+        assert part.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("n, k, status", [(8, 3, EXIT_CAPACITY), (5, 0, EXIT_INPUT)])
+    def test_refused_scan_leaves_its_output_unchanged(self, tmp_path, capsys,
+                                                      n, k, status):
+        out = tmp_path / "scan.out"
+        assert main(["scan", "5", "2", "--format", "json", "--output", str(out)]) == EXIT_OK
+        before = out.read_bytes()
+        assert before != b""
+        capsys.readouterr()
+        assert main(["scan", str(n), str(k), "--output", str(out)]) == status
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == before
 
     # sha256 of stdout and of stderr, and the exit status, of `scan N K`.
     @pytest.mark.parametrize("n, k, fmt, status, out, err", [
@@ -388,58 +289,6 @@ class TestScan:
         assert main(["scan", "6", "3", "--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["classes"] == 7
         assert calls == {"record_findings": 7, "class_record": 7}
-
-    @pytest.mark.parametrize("edit", [
-        {"gamma": "x"}, {"key": ["x"]}, {"full_rank": "no", "cover_exists": "yes"},
-    ], ids=["gamma", "key", "flags"])
-    def test_resume_rejects_a_mistyped_record(self, tmp_path, capsys, edit):
-        out = tmp_path / "scan.jsonl"
-        argv = ["scan", "4", "2", "--format", "json", "--output", str(out)]
-        assert main(argv) == EXIT_OK
-        first, *rest = out.read_text().splitlines(keepends=True)
-        out.write_text(json.dumps({**json.loads(first), **edit}, sort_keys=True)
-                       + "\n" + "".join(rest))
-        before = out.read_bytes()
-        capsys.readouterr()
-        assert main(argv + ["--resume"]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith(f"input error: {out}: record ")
-        assert out.read_bytes() == before
-
-    @pytest.mark.parametrize("edit, field", [
-        ({"gamma": 0}, "gamma"), ({"gamma": 7}, "gamma"), ({"n": 7}, "n"), ({"k": 2}, "k"),
-    ])
-    def test_resume_rejects_a_record_outside_the_cell(self, tmp_path, capsys,
-                                                      edit, field):
-        # 1 <= gamma <= n: side X dominates every k-regular class, k >= 1.
-        out = tmp_path / "scan.jsonl"
-        argv = ["scan", "6", "3", "--format", "json", "--output", str(out)]
-        assert main(argv) == EXIT_OK
-        records = [json.loads(ln) for ln in out.read_text().splitlines()[:-1]]
-        out.write_text("".join(json.dumps({**r, **edit}, sort_keys=True) + "\n"
-                               for r in records))
-        before = out.read_bytes()
-        capsys.readouterr()
-        assert main(argv + ["--resume"]) == EXIT_INPUT
-        out_text, err = capsys.readouterr()
-        assert out_text == ""
-        assert err == (f"input error: {out}: record {records[0]['key']!r} "
-                       f"has a malformed {field}\n")
-        assert out.read_bytes() == before
-
-    @pytest.mark.parametrize("value", ["0", "-3", "x"])
-    def test_scan_rejects_a_cached_value_that_is_no_positive_integer(
-            self, tmp_path, capsys, value):
-        cache = tmp_path / "C"
-        argv = ["scan", "5", "2", "--format", "json", "--cache", str(cache)]
-        assert main(argv) == EXIT_OK
-        keys = [ln.rpartition(" ")[0] for ln in cache.read_text().splitlines()]
-        assert len(keys) == 2
-        cache.write_text("".join(f"{key} {value}\n" for key in keys))
-        capsys.readouterr()
-        assert main(argv) == EXIT_INPUT
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"input error: {cache}:1: malformed cache line\n"
 
     def test_scan_csv(self, capsys):
         assert main(["scan", "3", "2", "--format", "csv"]) == EXIT_OK
@@ -572,7 +421,7 @@ def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
                                               command, wrong):
     cache = tmp_path / "gamma.cache"
     assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_OK
-    # a bare value line, as scan writes it: the witness search meets it
+    # a bare value line, as a value-only solve writes it: the witness search meets it
     key, value, _witness = cache.read_text().split()
     assert value == "2"
     cache.write_text(f"{key} {wrong}\n")
@@ -604,7 +453,7 @@ def test_cached_value_above_a_reached_cover_is_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["scan", "4", "2", "--output", "MISSING/scan.out"],
     ["gamma", "C4", "--cache", "MISSING/gamma.cache"],
-    ["scan", "4", "2", "--cache", "DIR"],
+    ["scan", "4", "2", "--output", "DIR"],
 ])
 def test_unopenable_path_is_an_input_error(tmp_path, c4_file, capsys, argv):
     paths = {"C4": c4_file, "DIR": str(tmp_path),
@@ -617,9 +466,7 @@ def test_unopenable_path_is_an_input_error(tmp_path, c4_file, capsys, argv):
 
 @pytest.mark.parametrize("command, first", [
     (["gamma", "C4", "--cache", "LOG"], b"Cl x\n"),
-    (["scan", "4", "2", "--format", "json", "--output", "LOG", "--resume"],
-     b'{"key": "4.2.33cc", "gamma": "x"}\n'),
-], ids=["cache", "resume"])
+], ids=["cache"])
 def test_failed_load_keeps_the_torn_tail(tmp_path, c4_file, capsys, command, first):
     # The torn tail is cut only once every complete line has been accepted.
     log = tmp_path / "log"
@@ -717,6 +564,9 @@ def test_stdout_is_the_same_cold_and_warm(tmp_path, c4_file, c5_file, rank6_file
     ["gamma", "@c4", "--max-vertices", "1"],
     ["scan", "4", "2", "--max-vertices", "9"],
     ["scan", "4", "2", "--input-format", "graph6"],
+    ["scan", "4", "2", "--resume"],
+    ["scan", "4", "2", "--cache", "C"],
+    ["gamma", "@c4", "--input-format", "graph6"],
     ["thresholds", "4", "--max-vertices", "-5"],
     ["thresholds", "4", "--input-format", "graph6"],
 ], ids=" ".join)

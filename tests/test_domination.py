@@ -301,6 +301,9 @@ class TestGammaCache:
         ("Cl 2 0x3\n", ":1: malformed cache line"),
         ("Cl 2 3A\n", ":1: malformed cache line"),
         ("Cl 2 7\n", ":1: malformed cache line"),
+        ("Cl 0\n", ":1: malformed cache line"),
+        ("Cl -3\n", ":1: malformed cache line"),
+        ("Cl x\n", ":1: malformed cache line"),
     ])
     def test_inconsistent_or_malformed_lines_rejected(self, tmp_path, text, error):
         path = tmp_path / "gamma.cache"
