@@ -17,7 +17,7 @@ from .criteria import (
     min_threshold_order,
     threshold_condition,
 )
-from .density import Density, density_vizing_check, rho
+from .density import density_vizing_check
 from .domination import (
     GammaCache,
     VizingReport,

@@ -24,7 +24,7 @@ from .criteria import (
     threshold_condition,
 )
 from .density import density_vizing_check
-from .domination import GammaCache, check_vizing, gamma_exact
+from .domination import GammaCache, check_vizing, gamma_exact, gamma_value
 from .enumeration import (
     SCAN_RECORD_FIELDS,
     # Unused here: bench/test_bench.py::test_traced_generator_and_rebinding
@@ -71,12 +71,11 @@ def load_graph_text(text: str) -> Graph:
     content = [ln for ln in content if ln]
     if content and all(set(ln) <= {"0", "1"} for ln in content):
         return to_graph(parse_biadjacency(text)).graph
-    if content and len(content[0].split()) == 2:
-        return parse_edge_list(text)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    if not content:
         raise ParseError("empty graph6 input")
-    return parse_graph6(lines[0])
+    if len(content[0].split()) == 2:
+        return parse_edge_list(text)
+    return parse_graph6(content[0])
 
 
 def _load_graph(path: str) -> Graph:
@@ -120,10 +119,6 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
         writer.writerows(flat)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def _frac(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -330,48 +325,51 @@ def cmd_transform(args) -> int:
     if bg is None:
         raise ParseError("transform input must be bipartite")
     cache = GammaCache(args.cache) if args.cache else None
+    if [args.rho_h, args.delta_h].count(None) != (2 if args.h else 0):
+        raise ParseError("need either --h FILE or both --rho-h and --delta-h")
     if args.h:
         h = _load_graph(args.h)
         delta_h = max_degree(h)
-        constructive = constructive_inequality_check(bg, h, cache, args.max_vertices)
-        hyp = constructive.hypothesis
+        gamma_h = gamma_value(h, cache)
+        rho_h = Fraction(gamma_h, h.n)
     else:
-        if args.rho_h is None or args.delta_h is None:
-            raise ParseError("need either --h FILE or both --rho-h and --delta-h")
         delta_h = args.delta_h
-        constructive = None
         try:
             rho_h = Fraction(args.rho_h)
         except ZeroDivisionError:
             raise ParseError(f"--rho-h {args.rho_h} has a zero denominator") from None
-        hyp = evaluate_hypothesis(bg, rho_h, cache)
-    trace = iterate_leaves(bg, delta_h, hyp, args.max_rounds, cache)
-    record = {"trace": trace.to_json()}
-    if constructive is not None:
-        record["constructive"] = constructive.to_json()
+        # gamma / n lies in (0, 1] for every graph.
+        if not 0 < rho_h <= 1:
+            raise ParseError(f"--rho-h must lie in (0, 1], not {args.rho_h}")
+    hyp = evaluate_hypothesis(bg, rho_h, cache)
+    record = {}
+    if args.h:
+        record["constructive"] = constructive_inequality_check(
+            bg, h, gamma_h, hyp, cache, args.max_vertices)._asdict()
+    t = iterate_leaves(bg, delta_h, hyp, args.max_rounds, cache)._asdict()
+    record["trace"] = t
     if args.format == "text":
-        t = trace
-        if not t.hypothesis.usable:
+        if not t["hypothesis_met"]:
             print("hypothesis not met: no minimum dominating set yields a"
                   " usable side proportion")
-            if t.hypothesis.equality_flagged:
+            if t["equality_flagged"]:
                 print("note: a side met the proportion gate exactly, but no"
                       " strict escalation subset exists")
         else:
-            print(f"side X = {t.side_x}, m* = {t.m_star}, "
-                  f"round bound = {t.round_bound}")
-            for rnd in t.rounds:
-                print(f"round {rnd.index}: n={rnd.size_a + rnd.size_b} "
-                      f"delta={rnd.delta} lhs={_frac(rnd.verdict.lhs)} "
-                      f"rhs={_frac(rnd.verdict.rhs)} "
-                      f"satisfied={rnd.verdict.satisfied} gamma={rnd.gamma}")
-            print(f"satisfied: {t.satisfied} at round {t.final_round}")
-        if constructive is not None:
-            c = constructive
-            if c.applicable:
-                print(f"constructive: gamma(GxH)={c.gamma_product} + "
-                      f"m*({c.m_star}) * |V(H)|({c.order_h}) = {c.lhs} "
-                      f">= {c.rhs} = gamma(G) gamma(H): {c.holds}")
+            print(f"side X = {t['side_x']}, m* = {t['m_star']}, "
+                  f"round bound = {t['round_bound']}")
+            for rnd in t["rounds"]:
+                print(f"round {rnd['round']}: n={rnd['size_a'] + rnd['size_b']} "
+                      f"delta={rnd['delta']} lhs={rnd['criterion_lhs']} "
+                      f"rhs={rnd['criterion_rhs']} "
+                      f"satisfied={rnd['criterion_satisfied']} gamma={rnd['gamma']}")
+            print(f"satisfied: {t['satisfied']} at round {t['final_round']}")
+        if args.h:
+            c = record["constructive"]
+            if c["applicable"]:
+                print(f"constructive: gamma(GxH)={c['gamma_product']} + "
+                      f"m*({c['m_star']}) * |V(H)|({c['order_h']}) = {c['lhs']} "
+                      f">= {c['rhs']} = gamma(G) gamma(H): {c['holds']}")
             else:
                 print("constructive: hypothesis not met")
     else:

@@ -21,7 +21,6 @@ from math import ceil, floor
 from typing import NamedTuple
 
 from .criteria import CriterionVerdict
-from .density import rho
 from .domination import (
     GammaCache,
     closed_neighborhoods,
@@ -58,38 +57,30 @@ def m_star(x_size: int, dx_size: int, rho_h: Fraction) -> int | None:
     return s if s <= dx_size else None
 
 
-class SplitCandidate(NamedTuple):
-    """One (minimum dominating set, side) option for the escalation;
-    ``dset`` is the set's vertex mask."""
-
-    dset: int
-    side: str
-    side_size: int
-    d_in_side: int
-    meets: bool
-    m_star: int | None
-    equality_gap: bool
-
-
 class HypothesisReport(NamedTuple):
     """Outcome of the side-proportion hypothesis over minimum dominating sets.
 
-    ``gate_met`` is the non-strict proportion test on some side; ``chosen``
-    is the usable candidate minimising m_star (ties toward side A, then the
-    smallest set mask), None when no candidate admits a strict escalation
-    subset.  ``equality_flagged`` marks the gate/strictness disagreement.
+    ``gate_met`` is the non-strict proportion test on some side.  The chosen
+    split is the (set, side) with the smallest m_star that admits a strict
+    escalation subset (ties toward side A, then the smallest set mask):
+    ``side``, its size, ``d_in_side`` (the set's vertices on it, as a mask)
+    and ``m_star``, all None when no split is usable.
+    ``equality_flagged`` marks the gate/strictness disagreement.
     """
 
     rho_h: Fraction
     gamma: int
     gate_met: bool
-    chosen: SplitCandidate | None
     equality_flagged: bool
     swept_all_minimum_sets: bool
+    side: str | None
+    side_size: int | None
+    d_in_side: int | None
+    m_star: int | None
 
     @property
     def usable(self) -> bool:
-        return self.chosen is not None
+        return self.m_star is not None
 
 
 def minimum_dominating_sets(g: Graph, gamma: int) -> list[int]:
@@ -113,37 +104,34 @@ def evaluate_hypothesis(bg: BipartiteGraph, rho_h: Fraction,
     gamma, witness = gamma_exact(bg.graph, cache)
     swept = bg.graph.n <= EXHAUSTIVE_SWEEP_LIMIT
     masks = minimum_dominating_sets(bg.graph, gamma) if swept else [witness]
-    candidates = []
+    gate_met = equality_flagged = False
+    # (m_star, side, set mask, side size, set on the side); "A" sorts first
+    best = None
     for mask in masks:
         for side, side_mask in (("A", bg.side_a), ("B", bg.side_b)):
             size = side_mask.bit_count()
             if size == 0:
                 continue
             d_in = mask & side_mask
-            prop = Fraction(d_in.bit_count(), size)
-            meets = prop >= rho_h
-            ms = m_star(size, d_in.bit_count(), rho_h) if meets else None
-            candidates.append(SplitCandidate(
-                dset=mask,
-                side=side,
-                side_size=size,
-                d_in_side=d_in,
-                meets=meets,
-                m_star=ms,
-                equality_gap=meets and ms is None,
-            ))
-    usable = [c for c in candidates if c.m_star is not None]
-    chosen = min(
-        usable,
-        key=lambda c: (c.m_star, 0 if c.side == "A" else 1, c.dset),
-    ) if usable else None
+            if Fraction(d_in.bit_count(), size) < rho_h:
+                continue
+            gate_met = True
+            ms = m_star(size, d_in.bit_count(), rho_h)
+            if ms is None:
+                equality_flagged = True
+            elif best is None or (ms, side, mask) < best[:3]:
+                best = (ms, side, mask, size, d_in)
+    ms, side, _, size, d_in = best or (None,) * 5
     return HypothesisReport(
         rho_h=rho_h,
         gamma=gamma,
-        gate_met=any(c.meets for c in candidates),
-        chosen=chosen,
-        equality_flagged=any(c.equality_gap for c in candidates),
+        gate_met=gate_met,
+        equality_flagged=equality_flagged,
         swept_all_minimum_sets=swept,
+        side=side,
+        side_size=size,
+        d_in_side=d_in,
+        m_star=ms,
     )
 
 
@@ -152,8 +140,12 @@ def evaluate_hypothesis(bg: BipartiteGraph, rho_h: Fraction,
 # ---------------------------------------------------------------------------
 
 class ConstructiveReport(NamedTuple):
+    """The terms of the constructive inequality; the fields are the keys of
+    the ``constructive`` record ``transform`` prints."""
+
     applicable: bool
-    hypothesis: HypothesisReport
+    gate_met: bool
+    equality_flagged: bool
     gamma_g: int
     gamma_h: int
     order_h: int
@@ -164,102 +156,53 @@ class ConstructiveReport(NamedTuple):
     rhs: int
     holds: bool | None
 
-    def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "gate_met": self.hypothesis.gate_met,
-            "equality_flagged": self.hypothesis.equality_flagged,
-            "gamma_g": self.gamma_g,
-            "gamma_h": self.gamma_h,
-            "order_h": self.order_h,
-            "gamma_product": self.gamma_product,
-            "m_star": self.m_star,
-            "side": self.side,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
 
-
-def constructive_inequality_check(bg: BipartiteGraph, h: Graph,
+def constructive_inequality_check(bg: BipartiteGraph, h: Graph, gamma_h: int,
+                                  hyp: HypothesisReport,
                                   cache: GammaCache | None = None,
                                   max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
                                   ) -> ConstructiveReport:
     """gamma(G box H) + m_star |V(H)| >= gamma(G) gamma(H), term by term.
 
-    The side achieving the hypothesis with the smaller m_star is chosen.
-    When no minimum dominating set admits a usable side, the result is an
-    out-of-hypothesis report rather than an error.
+    ``gamma_h`` is gamma(H) and ``hyp`` is ``evaluate_hypothesis`` of ``bg``
+    against rho(H) = gamma_h / |V(H)|; its chosen split gives m_star.  When
+    no minimum dominating set admits a usable side, the result is an
+    out-of-hypothesis report rather than an error, and no product is built.
     """
-    rho_h = rho(h, cache)
-    hyp = evaluate_hypothesis(bg, rho_h.value, cache)
-    rhs = hyp.gamma * rho_h.gamma
+    terms = dict(gate_met=hyp.gate_met, equality_flagged=hyp.equality_flagged,
+                 gamma_g=hyp.gamma, gamma_h=gamma_h, order_h=h.n,
+                 m_star=hyp.m_star, side=hyp.side, rhs=hyp.gamma * gamma_h)
     if not hyp.usable:
-        return ConstructiveReport(
-            applicable=False, hypothesis=hyp, gamma_g=hyp.gamma,
-            gamma_h=rho_h.gamma, order_h=h.n, gamma_product=None,
-            m_star=None, side=None, lhs=None, rhs=rhs, holds=None)
+        return ConstructiveReport(applicable=False, gamma_product=None,
+                                  lhs=None, holds=None, **terms)
     gamma_p = gamma_value(cartesian_product(bg.graph, h, max_vertices), cache)
-    chosen = hyp.chosen
-    lhs = gamma_p + chosen.m_star * h.n
-    return ConstructiveReport(
-        applicable=True, hypothesis=hyp, gamma_g=hyp.gamma,
-        gamma_h=rho_h.gamma, order_h=h.n, gamma_product=gamma_p,
-        m_star=chosen.m_star, side=chosen.side, lhs=lhs, rhs=rhs,
-        holds=lhs >= rhs)
+    lhs = gamma_p + hyp.m_star * h.n
+    return ConstructiveReport(applicable=True, gamma_product=gamma_p, lhs=lhs,
+                              holds=lhs >= terms["rhs"], **terms)
 
 
 # ---------------------------------------------------------------------------
 # iterated leaf attachment
 # ---------------------------------------------------------------------------
 
-class TransformRound(NamedTuple):
-    index: int
-    key: str
-    delta: int
-    size_a: int
-    size_b: int
-    verdict: CriterionVerdict
-    gamma: int
-    relabeled: bool
-
-    def to_json(self) -> dict:
-        return {
-            "round": self.index,
-            "key": self.key,
-            "delta": self.delta,
-            "size_a": self.size_a,
-            "size_b": self.size_b,
-            "gamma": self.gamma,
-            "relabeled": self.relabeled,
-            **{f"criterion_{k}": v for k, v in self.verdict.to_json().items()},
-        }
-
-
 class TransformTrace(NamedTuple):
-    hypothesis: HypothesisReport
+    """The leaf-attachment trace; the fields are the keys of the ``trace``
+    record ``transform`` prints.  Each round is a dict: its index, the grown
+    graph's key, max degree, side sizes, gamma and relabel note, plus the
+    round's ``CriterionVerdict.to_json()`` under keys prefixed
+    ``criterion_``."""
+
+    hypothesis_met: bool
+    gate_met: bool
+    equality_flagged: bool
     side_x: str | None
     m_star: int | None
-    targets: int | None
-    rounds: tuple[TransformRound, ...]
+    targets: list[int] | None
     final_round: int | None
     satisfied: bool
     round_bound: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_met": self.hypothesis.usable,
-            "gate_met": self.hypothesis.gate_met,
-            "equality_flagged": self.hypothesis.equality_flagged,
-            "side_x": self.side_x,
-            "m_star": self.m_star,
-            "targets": None if self.targets is None else bit_list(self.targets),
-            "final_round": self.final_round,
-            "satisfied": self.satisfied,
-            "round_bound": self.round_bound,
-            "policy": "reuse-targets",
-            "rounds": [r.to_json() for r in self.rounds],
-        }
+    rounds: tuple[dict, ...]
+    policy: str = "reuse-targets"
 
 
 def _round_bound(lhs0: Fraction, rhs0: Fraction, slope_gap: Fraction) -> int:
@@ -289,13 +232,15 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
     r = hyp.rho_h
     if not hyp.usable:
         return TransformTrace(
-            hypothesis=hyp, side_x=None, m_star=None, targets=None,
-            rounds=(), final_round=None, satisfied=False, round_bound=None)
+            hypothesis_met=False, gate_met=hyp.gate_met,
+            equality_flagged=hyp.equality_flagged, side_x=None, m_star=None,
+            targets=None, final_round=None, satisfied=False, round_bound=None,
+            rounds=())
 
-    chosen = hyp.chosen
-    x_size = chosen.side_size
-    m = chosen.m_star
-    targets = sum(1 << v for v in bit_list(chosen.d_in_side)[:m])
+    x_size = hyp.side_size
+    m = hyp.m_star
+    target_list = bit_list(hyp.d_in_side)[:m]
+    targets = sum(1 << v for v in target_list)
 
     g = bg.graph
     gamma0 = hyp.gamma
@@ -303,7 +248,7 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
     rhs0 = (max_degree(g) + h_delta + 1) * r
     bound = _round_bound(lhs0, rhs0, Fraction(m, x_size) - r)
 
-    rounds: list[TransformRound] = []
+    rounds: list[dict] = []
     final = None
     satisfied = False
     for t in range(max_rounds + 1):
@@ -319,17 +264,16 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
                 "domination number drifted under leaf attachment",
                 record={"round": t, "gamma0": gamma0, "gamma": gamma_t})
         opposite = g.n - x_size
-        relabeled = chosen.side == "B" and opposite > x_size
-        rounds.append(TransformRound(
-            index=t,
-            key=graph_key(g),
-            delta=delta,
-            size_a=min(x_size, opposite),
-            size_b=max(x_size, opposite),
-            verdict=verdict,
-            gamma=gamma_t,
-            relabeled=relabeled,
-        ))
+        rounds.append({
+            "round": t,
+            "key": graph_key(g),
+            "delta": delta,
+            "size_a": min(x_size, opposite),
+            "size_b": max(x_size, opposite),
+            "gamma": gamma_t,
+            "relabeled": hyp.side == "B" and opposite > x_size,
+            **{f"criterion_{k}": v for k, v in verdict.to_json().items()},
+        })
         if verdict.satisfied:
             final = t
             satisfied = True
@@ -339,12 +283,14 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
         g = attach_leaves(g, targets)
 
     return TransformTrace(
-        hypothesis=hyp,
-        side_x=chosen.side,
+        hypothesis_met=True,
+        gate_met=hyp.gate_met,
+        equality_flagged=hyp.equality_flagged,
+        side_x=hyp.side,
         m_star=m,
-        targets=targets,
-        rounds=tuple(rounds),
+        targets=target_list,
         final_round=final,
         satisfied=satisfied,
         round_bound=bound,
+        rounds=tuple(rounds),
     )

@@ -37,7 +37,6 @@ from domdensity import (
     min_threshold_order,
     obstruction_report,
     rank_exact,
-    rho,
     threshold_condition,
     to_graph,
 )
@@ -232,18 +231,18 @@ def test_criterion_11_transform_engine(cache):
     for g in pool_g:
         for h in pool_h:
             bg = bipartition(g)
-            density_h = rho(h, cache)
-            hyp = evaluate_hypothesis(bg, density_h.value, cache)
+            gamma_h = gamma_value(h, cache)
+            hyp = evaluate_hypothesis(bg, Fraction(gamma_h, h.n), cache)
             if not hyp.usable:
                 continue
-            report = constructive_inequality_check(bg, h, cache)
+            report = constructive_inequality_check(bg, h, gamma_h, hyp, cache)
             assert report.applicable and report.holds
             trace = iterate_leaves(bg, max_degree(h), hyp,
                                    max_rounds=64, cache=cache)
             assert trace.satisfied
             assert trace.final_round <= trace.round_bound
-            base = trace.rounds[0].gamma
-            assert all(r.gamma == base for r in trace.rounds)
+            base = trace.rounds[0]["gamma"]
+            assert all(r["gamma"] == base for r in trace.rounds)
             verified += 1
     assert verified >= 20
     _finish(11, f"constructive inequality on {verified} pairs", started, 300.0)

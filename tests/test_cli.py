@@ -55,6 +55,10 @@ class TestInputDetection:
         assert load_graph_text("A_\n").n == 2
         assert load_graph_text(rank6_matrix.to_text()).n == 12
         assert load_graph_text(emit_graph6(star(9))).n == 10
+        # graph6 skips comments and blanks, as the format detection does
+        c4 = load_graph_text("Cl\n")
+        assert load_graph_text("# C4\nCl\n") == c4
+        assert load_graph_text("\n  Cl\n") == c4
 
 
 class TestGamma:
@@ -363,11 +367,24 @@ class TestTransform:
     def test_missing_parameters_rejected(self, c4_file):
         assert main(["transform", c4_file]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("rho_h", ["abc", "1/0"])
+    # --h gives both partner parameters; it is not silently preferred.
+    @pytest.mark.parametrize("parameters", [
+        ["--rho-h", "1/2", "--delta-h", "9"], ["--rho-h", "1/2"], ["--delta-h", "9"],
+    ], ids=" ".join)
+    def test_partner_graph_excludes_parameters(self, c4_file, parameters, capsys):
+        assert main(["transform", c4_file, "--h", c4_file, *parameters]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("input error: need either --h FILE or both --rho-h"
+                       " and --delta-h\n")
+
+    # A density gamma / n lies in (0, 1]; "=-1/2" is passed as --rho-h=-1/2.
+    @pytest.mark.parametrize("rho_h", ["abc", "1/0", "0", "2", "3/2", "=-1/2"])
     def test_malformed_rho_h_rejected(self, c4_file, rho_h, capsys):
-        assert main(["transform", c4_file, "--rho-h", rho_h,
-                     "--delta-h", "2"]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("input error:")
+        rho = ["--rho-h" + rho_h] if rho_h.startswith("=") else ["--rho-h", rho_h]
+        assert main(["transform", c4_file, *rho, "--delta-h", "2"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error:")
 
     # rank6 is solved once at round 0; each of rounds 1-4 adds m* = 3 leaves,
     # and only those grown graphs are solved again.
@@ -375,13 +392,15 @@ class TestTransform:
 
     @pytest.mark.parametrize("partner, solves", [
         (["--h", "C5"], {"value": {12: 1, 5: 1, 60: 1, **GROWN},
-                         "witness": {12: 1}, "sweep": {12: 1}}),
+                         "witness": {12: 1}, "sweep": {12: 1}, "hypothesis": {12: 1}}),
         (["--rho-h", "2/5", "--delta-h", "2"],
-         {"value": {12: 1, **GROWN}, "witness": {12: 1}, "sweep": {12: 1}}),
+         {"value": {12: 1, **GROWN}, "witness": {12: 1}, "sweep": {12: 1},
+          "hypothesis": {12: 1}}),
     ])
     def test_one_solve_per_quantity(self, tmp_path, rank6_file, partner, solves,
                                     capsys, monkeypatch):
-        calls = {"value": Counter(), "witness": Counter(), "sweep": Counter()}
+        calls = {"value": Counter(), "witness": Counter(), "sweep": Counter(),
+                 "hypothesis": Counter()}
 
         def counted(kind, fn, order):
             def wrapper(*args):
@@ -395,6 +414,10 @@ class TestTransform:
             "witness", _Search.lexmin_witness, lambda search, gamma: search.n))
         monkeypatch.setattr(transform, "minimum_dominating_sets", counted(
             "sweep", transform.minimum_dominating_sets, lambda g, gamma: g.n))
+        for module in (cli, transform):
+            monkeypatch.setattr(module, "evaluate_hypothesis", counted(
+                "hypothesis", transform.evaluate_hypothesis,
+                lambda bg, rho_h, cache: bg.graph.n))
         c5 = tmp_path / "c5.edges"
         c5.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
         partner = [str(c5) if arg == "C5" else arg for arg in partner]

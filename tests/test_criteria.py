@@ -24,7 +24,6 @@ from domdensity import (
     imbalance_vs_arbitrary,
     kreg_order_bound,
     min_threshold_order,
-    rho,
     star,
     threshold_condition,
     to_graph,

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from domdensity import (
-    Density,
     bipartition,
     cartesian_product,
     check_vizing,
@@ -16,46 +15,29 @@ from domdensity import (
     density_vizing_check,
     disjoint_union,
     empty_graph,
+    evaluate_hypothesis,
     gamma_value,
     iterate_leaves,
     max_degree,
     min_threshold_order,
-    rho,
     to_graph,
 )
 from domdensity.catalog import connected_graphs
 from conftest import random_graph
 
 
-def test_density_value_reduces_but_keeps_order():
-    d = Density(2, 6)
-    assert d.value == Fraction(1, 3)
-    assert d.order == 6 and d.gamma == 2
-
-
-def test_density_validation():
-    for gamma, order, message in [(1, 0, "density needs a positive order"),
-                                  (0, 5, "gamma must lie in 1..order"),
-                                  (6, 5, "gamma must lie in 1..order")]:
-        with pytest.raises(ValueError) as exc:
-            Density(gamma, order)
-        assert str(exc.value) == message
-
-
 def test_report_records_are_immutable():
     c4 = cycle_graph(4)
-    constructive = constructive_inequality_check(bipartition(c4), c4)
-    trace = iterate_leaves(bipartition(c4), 2, constructive.hypothesis, max_rounds=4)
+    bg = bipartition(c4)
+    hyp = evaluate_hypothesis(bg, Fraction(1, 2))
+    constructive = constructive_inequality_check(bg, c4, 2, hyp)
+    trace = iterate_leaves(bg, 2, hyp, max_rounds=4)
     records = [
-        (Density(1, 2), "gamma"),
         (check_vizing(c4, c4), "holds"),
         (min_threshold_order(3), "n_min"),
         (constructive, "holds"),
-        (constructive.hypothesis, "gamma"),
-        (constructive.hypothesis.chosen, "side"),
+        (hyp, "gamma"),
         (trace, "satisfied"),
-        (trace.rounds[0], "gamma"),
-        (trace.rounds[0].verdict, "satisfied"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
@@ -64,13 +46,17 @@ def test_report_records_are_immutable():
             record.extra = 1
 
 
+def density(g):
+    return Fraction(gamma_value(g), g.n)
+
+
 def test_rho_small_cases(rank6_matrix):
-    assert rho(complete_bipartite(3, 3)).value == Fraction(1, 3)
-    assert rho(empty_graph(1)).value == 1
+    assert density(complete_bipartite(3, 3)) == Fraction(1, 3)
+    assert density(empty_graph(1)) == 1
     # the 12-vertex worked example: gamma 4 over 12 vertices
-    d = rho(to_graph(rank6_matrix).graph)
-    assert (d.gamma, d.order) == (4, 12)
-    assert d.value == Fraction(1, 3)
+    g = to_graph(rank6_matrix).graph
+    assert (gamma_value(g), g.n) == (4, 12)
+    assert density(g) == Fraction(1, 3)
 
 
 def test_density_check_trivial_pairs():
@@ -94,7 +80,7 @@ def test_density_form_equals_integer_form():
 
 def test_rho_invariant_under_duplication():
     for g in (cycle_graph(4), cycle_graph(5), complete_bipartite(1, 3)):
-        assert rho(disjoint_union(g, g)).value == rho(g).value
+        assert density(disjoint_union(g, g)) == density(g)
 
 
 def test_product_density_above_degree_bound():

@@ -21,11 +21,17 @@ from domdensity import (
     iterate_leaves,
     m_star,
     path_graph,
-    rho,
     star,
 )
 from domdensity.catalog import connected_bipartite_graphs, connected_graphs
 from domdensity.transform import minimum_dominating_sets
+
+
+def partner_terms(bg, h):
+    """gamma(H) and the hypothesis of ``bg`` against rho(H), as
+    ``constructive_inequality_check`` takes them."""
+    gamma_h = gamma_value(h)
+    return gamma_h, evaluate_hypothesis(bg, Fraction(gamma_h, h.n))
 
 
 class TestMStar:
@@ -54,7 +60,7 @@ class TestHypothesis:
         bg = bipartition(cycle_graph(4))
         hyp = evaluate_hypothesis(bg, Fraction(1, 2))
         assert hyp.gate_met and hyp.usable
-        assert hyp.chosen.m_star == 2 and hyp.chosen.side == "A"
+        assert hyp.m_star == 2 and hyp.side == "A"
         # the {0,1}-style splits meet the gate exactly but admit no strict subset
         assert hyp.equality_flagged
 
@@ -62,6 +68,7 @@ class TestHypothesis:
         bg = bipartition(cycle_graph(6))
         hyp = evaluate_hypothesis(bg, Fraction(1, 2))
         assert not hyp.gate_met and not hyp.usable
+        assert hyp.side is hyp.side_size is hyp.d_in_side is hyp.m_star is None
         assert hyp.swept_all_minimum_sets
 
     def test_c6_at_own_density_equality_gap(self):
@@ -79,7 +86,8 @@ class TestHypothesis:
 class TestConstructiveInequality:
     def test_star_vs_k2_trivial_slack(self):
         bg = bipartition(star(3))
-        report = constructive_inequality_check(bg, complete_bipartite(1, 1))
+        k2 = complete_bipartite(1, 1)
+        report = constructive_inequality_check(bg, k2, *partner_terms(bg, k2))
         assert report.applicable and report.holds
         assert report.gamma_g == 1 and report.gamma_h == 1
         assert report.m_star == 1
@@ -87,7 +95,7 @@ class TestConstructiveInequality:
     def test_c4_square_exact_terms(self):
         bg = bipartition(cycle_graph(4))
         h = cycle_graph(4)
-        report = constructive_inequality_check(bg, h)
+        report = constructive_inequality_check(bg, h, *partner_terms(bg, h))
         product = cartesian_product(bg.graph, h)
         assert report.gamma_product == gamma_brute(product) == 4
         assert report.m_star == 2
@@ -96,7 +104,8 @@ class TestConstructiveInequality:
 
     def test_c6_vs_k2_out_of_hypothesis(self):
         bg = bipartition(cycle_graph(6))
-        report = constructive_inequality_check(bg, complete_bipartite(1, 1))
+        k2 = complete_bipartite(1, 1)
+        report = constructive_inequality_check(bg, k2, *partner_terms(bg, k2))
         assert not report.applicable
         assert report.gamma_product is None and report.holds is None
         assert report.gamma_g == 2 and report.gamma_h == 1
@@ -104,7 +113,7 @@ class TestConstructiveInequality:
     def test_p4_vs_k2_full_terms(self):
         bg = bipartition(path_graph(4))
         h = complete_bipartite(1, 1)
-        report = constructive_inequality_check(bg, h)
+        report = constructive_inequality_check(bg, h, *partner_terms(bg, h))
         assert report.applicable
         product = cartesian_product(bg.graph, h)
         assert report.gamma_product == gamma_brute(product)
@@ -133,32 +142,32 @@ class TestIterateLeaves:
                                max_rounds=10)
         assert trace.satisfied and trace.final_round == 1
         assert trace.m_star == 2 and trace.round_bound == 2
-        lhs = [r.verdict.lhs for r in trace.rounds]
-        rhs = [r.verdict.rhs for r in trace.rounds]
+        lhs = [Fraction(r["criterion_lhs"]) for r in trace.rounds]
+        rhs = [Fraction(r["criterion_rhs"]) for r in trace.rounds]
         # lhs climbs by m*/|X| = 1 per round, rhs by at most rho = 1/2
         assert lhs[1] - lhs[0] == Fraction(2, 2)
         assert rhs[1] - rhs[0] <= Fraction(1, 2)
-        assert all(r.gamma == trace.rounds[0].gamma for r in trace.rounds)
+        assert all(r["gamma"] == trace.rounds[0]["gamma"] for r in trace.rounds)
 
     def test_balanced_k33_out_of_hypothesis(self):
         bg = bipartition(complete_bipartite(3, 3))
         trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1)),
                                max_rounds=3)
-        assert not trace.hypothesis.gate_met
+        assert not trace.gate_met
         assert not trace.satisfied and trace.rounds == ()
 
     def test_side_b_growth_strictly_widens_gap(self):
         bg = bipartition(cycle_graph(4))
         trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
                                max_rounds=10)
-        diffs = [r.size_b - r.size_a for r in trace.rounds]
+        diffs = [r["size_b"] - r["size_a"] for r in trace.rounds]
         assert diffs == sorted(diffs) and len(set(diffs)) == len(diffs)
 
     def test_trace_serializes(self):
         bg = bipartition(cycle_graph(4))
         trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
                                max_rounds=4)
-        payload = trace.to_json()
+        payload = trace._asdict()
         assert payload["satisfied"] is True
         assert payload["rounds"][0]["criterion_name"] == "imbalance-arbitrary"
 
@@ -175,13 +184,13 @@ class TestProofAccounting:
         h = complete_bipartite(1, 1)
         for g in (path_graph(4), cycle_graph(4), star(3)):
             bg = bipartition(g)
-            report = constructive_inequality_check(bg, h)
+            gamma_h, hyp = partner_terms(bg, h)
+            report = constructive_inequality_check(bg, h, gamma_h, hyp)
             if not report.applicable:
                 continue
-            hyp = report.hypothesis
             targets = 0
-            pool = hyp.chosen.d_in_side
-            for _ in range(hyp.chosen.m_star):
+            pool = hyp.d_in_side
+            for _ in range(hyp.m_star):
                 low = pool & -pool
                 targets |= low
                 pool ^= low
@@ -192,14 +201,14 @@ class TestProofAccounting:
     def test_end_to_end_grown_pair_satisfies_inequality(self):
         bg = bipartition(cycle_graph(4))
         h = cycle_graph(4)
-        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, rho(h).value),
-                               max_rounds=10)
+        hyp = partner_terms(bg, h)[1]
+        trace = iterate_leaves(bg, 2, hyp, max_rounds=10)
         assert trace.satisfied
         g = bg.graph
         for _ in range(trace.final_round):
-            g = attach_leaves(g, trace.targets)
+            g = attach_leaves(g, sum(1 << v for v in trace.targets))
         gamma_grown = gamma_value(g)
-        assert gamma_grown == trace.hypothesis.gamma
+        assert gamma_grown == hyp.gamma
         product = cartesian_product(g, h)
         assert gamma_value(product) >= gamma_grown * gamma_value(h)
 
@@ -211,8 +220,7 @@ class TestProofAccounting:
         for g in pool_g:
             for h in pool_h:
                 bg = bipartition(g)
-                r = rho(h)
-                hyp = evaluate_hypothesis(bg, r.value)
+                hyp = partner_terms(bg, h)[1]
                 if not hyp.usable:
                     continue
                 from domdensity import max_degree
