@@ -81,7 +81,7 @@ def load_graph_text(text: str) -> Graph:
 def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return load_graph_text(text)
 
@@ -320,6 +320,10 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if args.max_rounds < 1:
+        raise ParseError(f"--max-rounds must be at least 1, not {args.max_rounds}")
+    if args.delta_h is not None and args.delta_h < 0:
+        raise ParseError(f"--delta-h must be at least 0, not {args.delta_h}")
     g = _load_graph(args.input)
     bg = bipartition(g)
     if bg is None:

@@ -28,12 +28,11 @@ Witnesses are deterministic: among all minimum dominating sets the one whose
 sorted vertex tuple is lexicographically smallest is reconstructed by fixing
 vertices in ascending order, each probe a descent with ``goal`` = gamma and
 ``best`` = gamma + 1 (a feasibility search at the known optimum).  The
-witness pass is seeded with ``found``: when it holds the vertices fixed so
-far and then c, the probe at c is known to succeed, so only the vertices
-below c are probed and c is taken with no search; a probe that succeeds
-makes its own cover the new incumbent.  With gamma read from the cache and
-no value pass, the probes run unseeded until the first one succeeds.  A
-probe that reaches a cover smaller than gamma is a wrong cached value.
+witness pass always follows the value pass and is seeded with its optimal
+cover ``found``: as ``found`` holds the vertices fixed so far and then c,
+the probe at c is known to succeed, so only the vertices below c are probed
+and c is taken with no search; a probe that succeeds makes its own cover the
+new incumbent.
 """
 
 from __future__ import annotations
@@ -209,79 +208,73 @@ class _Search:
     def lexmin_witness(self, gamma: int) -> int:
         """Smallest minimum dominating set under sorted-vertex-tuple order.
 
-        Raises ValueError when ``gamma`` is not the graph's domination
-        number, as a wrong cached value can make it.
+        Runs after ``minimum_size``, which leaves an optimal cover in ``found``.
         """
-        chosen = 0
-        covered = 0
-        lo = 0
-        for _ in range(gamma):
-            # An incumbent ``found`` holds ``chosen`` and then its next vertex
-            # c, so a probe at c would succeed: probe only lo..c-1 (with no
-            # incumbent, every vertex from lo on).
+        chosen = covered = lo = 0
+        while covered != self.full:
+            # ``found`` holds ``chosen`` and then its next vertex c, so a
+            # probe at c would succeed: probe only lo..c-1.
             rest = self.found >> lo
-            c = lo + (rest & -rest).bit_length() - 1 if rest else self.n
+            c = lo + (rest & -rest).bit_length() - 1
             for v in range(lo, c):
                 self.goal, self.best = gamma, gamma + 1
                 if self._descend(chosen | 1 << v, covered | self.closed[v],
                                  self.full & ~((2 << v) - 1), self.near_prefix[v]):
                     c = v
                     break
-            if c == self.n or self.found.bit_count() < gamma:
-                break  # no cover of size gamma extends chosen, or a smaller one exists
             chosen |= 1 << c
             covered |= self.closed[c]
             lo = c + 1
-            if covered == self.full:
-                break
-        if covered != self.full or chosen.bit_count() != gamma:
-            raise ValueError(f"{gamma} is not this graph's domination number"
-                             " (a wrong gamma cache entry?)")
         return chosen
 
 
+def _lookup(g: Graph, cache: "GammaCache | None") -> tuple[str | None, int | None]:
+    """The cache key of ``g`` and its cached witness, checked to dominate.
+
+    Both are None without a cache; the witness is None on a miss.
+    """
+    if cache is None:
+        return None, None
+    key = graph_key(g)
+    witness = cache.get(key)
+    # is_dominating raises PreconditionError, a ValueError, on a vertex
+    # outside the graph.
+    if witness is not None and not is_dominating(g, witness):
+        raise ValueError(f"cached witness mask {witness:x} does not dominate this"
+                         " graph (a wrong gamma cache entry?)")
+    return key, witness
+
+
 def gamma_value(g: Graph, cache: "GammaCache | None" = None) -> int:
-    """The domination number alone (cheaper than gamma_exact in scans)."""
-    key = None
-    if cache is not None:
-        key = graph_key(g)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    """The domination number alone (cheaper than gamma_exact in scans).
+
+    A cache hit is the size of the cached witness.  A miss runs the value
+    pass; with a cache it also runs the witness pass, so that every logged
+    entry carries its witness.
+    """
+    key, witness = _lookup(g, cache)
+    if witness is not None:
+        return witness.bit_count()
     search = _Search(g)
     value = search.minimum_size(search.greedy_cover())
     if cache is not None:
-        cache.put(key, value)
+        cache.put(key, search.lexmin_witness(value))
     return value
 
 
 def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, int]:
     """Domination number together with the deterministic lex-min witness mask.
 
-    A witness stored in the cache is checked with ``is_dominating`` and
-    returned without a search; otherwise one ``_Search`` runs whichever of
-    the value pass and the witness pass the cache does not answer, and the
-    witness is stored beside the value.
+    A cached witness is checked with ``is_dominating`` and returned without a
+    search; a miss runs the value pass and then the witness pass.
     """
-    key = value = witness = None
-    if cache is not None:
-        key = graph_key(g)
-        value = cache.get(key)
-        witness = cache.witness(key)
-    if witness is not None:
-        # is_dominating raises PreconditionError, a ValueError, on a vertex
-        # outside the graph.
-        if not is_dominating(g, witness):
-            raise ValueError(f"cached witness mask {witness:x} does not dominate this"
-                             " graph (a wrong gamma cache entry?)")
-        return value, witness
-    search = _Search(g)
-    if value is None:
-        value = search.minimum_size(search.greedy_cover())
-    witness = search.lexmin_witness(value)
-    if cache is not None:
-        cache.put(key, value, witness)
-    return value, witness
+    key, witness = _lookup(g, cache)
+    if witness is None:
+        search = _Search(g)
+        witness = search.lexmin_witness(search.minimum_size(search.greedy_cover()))
+        if cache is not None:
+            cache.put(key, witness)
+    return witness.bit_count(), witness
 
 
 def gamma_brute(g: Graph) -> int:
@@ -321,68 +314,51 @@ def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None,
 class GammaCache:
     """Persistent gamma cache: an append-only text log, one graph per line.
 
-    A line is "key value" or "key value mask", the mask being the graph's
-    lex-min minimum dominating set in lowercase hex.  A key may recur (a
-    value line, then the line that adds its mask), but every line of a key
-    must agree.  The whole log is reloaded at startup; writes go through a
-    single writer (this object) and are flushed immediately, so a killed run
-    keeps every value it solved.  A final line without its newline is the
-    torn write of a killed run: it is cut off the file (a torn "key 12" may
-    read "key 1"), once every complete line has been accepted; any other
-    malformed line, a value that is not a positive integer or a mask whose
-    size is not the value included, is rejected.
+    A line is "key value mask", the mask being the graph's lex-min minimum
+    dominating set in lowercase hex and the value its size.  Two lines of
+    one key must agree.  The whole log is reloaded at startup; writes go
+    through a single writer (this object) and are flushed immediately, so a
+    killed run keeps every graph it solved.  A final line without its
+    newline is the torn write of a killed run: it is cut off the file (a
+    torn "key 2 30" may read "key 2 3"), once every complete line has been
+    accepted; any other malformed line, a value that is not a positive
+    integer or a mask whose size is not the value included, is rejected.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._values: dict[str, int] = {}
         self._witnesses: dict[str, int] = {}
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
             data = self._path.read_bytes()
             complete = data[:data.rfind(b"\n") + 1]
-            for lineno, line in enumerate(complete.decode().splitlines(), 1):
+            try:
+                text = complete.decode()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"cannot read {self._path}: {exc}") from None
+            for lineno, line in enumerate(text.splitlines(), 1):
                 fields = line.split()
                 if not fields:
                     continue
                 where = f"{self._path}:{lineno}"
-                if not 2 <= len(fields) <= 3 or not fields[1].isdecimal() \
-                        or int(fields[1]) < 1:
+                if len(fields) != 3 or not fields[1].isdecimal() \
+                        or not re.fullmatch("[0-9a-f]+", fields[2]):
                     raise ValueError(f"{where}: malformed cache line")
-                key, value = fields[0], int(fields[1])
-                if len(fields) == 3:
-                    hex_mask = re.fullmatch("[0-9a-f]+", fields[2])
-                    witness = int(fields[2], 16) if hex_mask else 0
-                    if witness.bit_count() != value:
-                        raise ValueError(f"{where}: malformed cache line")
-                    if self._witnesses.setdefault(key, witness) != witness:
-                        raise ValueError(f"{where}: conflicting cache line")
-                if self._values.setdefault(key, value) != value:
+                key, value, witness = fields[0], int(fields[1]), int(fields[2], 16)
+                if value < 1 or witness.bit_count() != value:
+                    raise ValueError(f"{where}: malformed cache line")
+                if self._witnesses.setdefault(key, witness) != witness:
                     raise ValueError(f"{where}: conflicting cache line")
             if len(data) > len(complete):
                 os.truncate(self._path, len(complete))
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._witnesses)
 
     def get(self, key: str) -> int | None:
-        return self._values.get(key)
-
-    def witness(self, key: str) -> int | None:
         return self._witnesses.get(key)
 
-    def put(self, key: str, value: int, witness: int | None = None):
-        known = self._values.get(key)
-        if known is not None and known != value:
-            raise RuntimeError(
-                f"cache inconsistency for {key!r}: {known} vs {value}")
-        if known is not None and (witness is None or key in self._witnesses):
-            return
-        self._values[key] = value
-        line = f"{key} {value}"
-        if witness is not None:
-            self._witnesses[key] = witness
-            line += f" {witness:x}"
+    def put(self, key: str, witness: int):
+        self._witnesses[key] = witness
         if self._path is not None:
             with self._path.open("a") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+                fh.write(f"{key} {witness.bit_count()} {witness:x}\n")

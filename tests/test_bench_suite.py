@@ -1,5 +1,5 @@
 """The benchmark's own unittest suite, run from tier-1, and its tracer run
-over the ``transform`` command.
+over ``transform`` and ``check-vizing``, without a cache and warm.
 
 ``bench/`` traces the library from outside and checks that it can rebind
 the functions it wraps; a change to the library that breaks that (say, a
@@ -44,3 +44,25 @@ def test_tracer_reads_transform_layers(tmp_path, capsys):
     # transform's value-only solves: H, the product and the four grown
     # graphs; check-vizing reports a witness for each of its graphs.
     assert metrics["domination.value_calls"] == 6
+
+
+def test_tracer_reads_no_solve_on_warm_commands(tmp_path, capsys):
+    inputs = workloads.write_inputs(tmp_path, seed=1)
+    cache = tmp_path / "gamma.cache"
+    commands = [
+        ["check-vizing", str(inputs["C8"]), str(inputs["C9"]), "--format", "json"],
+        ["transform", str(inputs["rank6"]), "--h", str(inputs["C5"]), "--format", "json"],
+    ]
+    for argv in commands:
+        assert cli.main([*argv, "--cache", str(cache)]) == 0
+    # Every entry carries its witness, also those of value-only solves.
+    assert all(len(line.split()) == 3 for line in cache.read_text().splitlines())
+    tracer = Tracer()
+    with tracer.installed(domdensity):
+        for argv in commands:
+            assert cli.main([*argv, "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    metrics = layer_metrics(tracer.spans)
+    assert metrics["cache.hits"] > 0
+    assert metrics["cache.misses"] == 0
+    assert metrics["domination.solves_per_graph"] == 0

@@ -378,6 +378,20 @@ class TestTransform:
         assert err == ("input error: need either --h FILE or both --rho-h"
                        " and --delta-h\n")
 
+    # Refused before any input or cache is read: nothing is solved or logged.
+    @pytest.mark.parametrize("flags, error", [
+        (["--h", "@c4", "--max-rounds", "0"], "--max-rounds must be at least 1, not 0"),
+        (["--rho-h", "1/2", "--delta-h", "-1"], "--delta-h must be at least 0, not -1"),
+    ], ids=["max-rounds", "delta-h"])
+    def test_out_of_range_flag_refused_before_any_solve(self, tmp_path, c4_file,
+                                                        capsys, flags, error):
+        cache = tmp_path / "F"
+        flags = [c4_file if a == "@c4" else a for a in flags]
+        assert main(["transform", c4_file, *flags, "--cache", str(cache)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: {error}\n"
+        assert not cache.exists()
+
     # A density gamma / n lies in (0, 1]; "=-1/2" is passed as --rho-h=-1/2.
     @pytest.mark.parametrize("rho_h", ["abc", "1/0", "0", "2", "3/2", "=-1/2"])
     def test_malformed_rho_h_rejected(self, c4_file, rho_h, capsys):
@@ -437,59 +451,55 @@ def test_cache_shared_across_commands(tmp_path, c4_file, capsys):
     assert cache.read_text() == first  # hit, no rewrite
 
 
+# A `key value` line, as an older log holds it, carries no witness to check:
+# right (2) or wrong (1, 3), it is refused and the log is left as it was.
 @pytest.mark.parametrize("command", [["gamma"], ["check-vizing", "C4"],
                                      ["transform", "--rho-h", "1/2", "--delta-h", "2"]])
-@pytest.mark.parametrize("wrong", [1, 3])
+@pytest.mark.parametrize("value", [1, 3, 2])
 def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
-                                              command, wrong):
+                                              command, value):
     cache = tmp_path / "gamma.cache"
     assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_OK
-    # a bare value line, as a value-only solve writes it: the witness search meets it
-    key, value, _witness = cache.read_text().split()
-    assert value == "2"
-    cache.write_text(f"{key} {wrong}\n")
+    key, gamma, _witness = cache.read_text().split()
+    assert gamma == "2"
+    cache.write_text(f"{key} {value}\n")
+    before = cache.read_bytes()
     capsys.readouterr()
     name, *rest = command
     argv = [name, c4_file, *[c4_file if a == "C4" else a for a in rest]]
     assert main([*argv, "--cache", str(cache)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and "domination number" in err
-
-
-def test_cached_value_above_a_reached_cover_is_an_input_error(tmp_path, capsys):
-    # gamma = 3 with witness [0, 1, 3]; cached as 4, a witness probe reaches
-    # a 3-vertex dominating set, so 4 cannot be the domination number.
-    graph = tmp_path / "g8.edges"
-    graph.write_text("0 4\n0 5\n0 7\n1 2\n2 5\n2 6\n2 7\n3 6\n4 5\n4 7\n5 6\n")
-    cache = tmp_path / "gamma.cache"
-    assert main(["gamma", str(graph), "--cache", str(cache)]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("gamma = 3\nwitness = [0, 1, 3]\n")
-    key, _value, _witness = cache.read_text().split()
-    cache.write_text(f"{key} 4\n")
-    assert main(["gamma", str(graph), "--cache", str(cache)]) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("input error: 4 is not this graph's domination number"
-                   " (a wrong gamma cache entry?)\n")
+    assert err == f"input error: {cache}:1: malformed cache line\n"
+    assert cache.read_bytes() == before
 
 
 @pytest.mark.parametrize("argv", [
     ["scan", "4", "2", "--output", "MISSING/scan.out"],
     ["gamma", "C4", "--cache", "MISSING/gamma.cache"],
     ["scan", "4", "2", "--output", "DIR"],
+    ["gamma", "NOT-UTF-8"],
+    ["gamma", "C4", "--cache", "NOT-UTF-8"],
 ])
 def test_unopenable_path_is_an_input_error(tmp_path, c4_file, capsys, argv):
-    paths = {"C4": c4_file, "DIR": str(tmp_path),
+    # A file that is not UTF-8 text cannot be read either; the message names
+    # the path at fault, the last one on the command line.
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xffCl 2 3\n")
+    paths = {"C4": c4_file, "DIR": str(tmp_path), "NOT-UTF-8": str(bad),
              "MISSING/scan.out": str(tmp_path / "missing" / "scan.out"),
              "MISSING/gamma.cache": str(tmp_path / "missing" / "gamma.cache")}
+    named = paths[argv[-1]]
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("input error: ")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and named in err
 
 
 @pytest.mark.parametrize("command, first", [
     (["gamma", "C4", "--cache", "LOG"], b"Cl x\n"),
-], ids=["cache"])
+    (["gamma", "C4", "--cache", "LOG"], b"\xff\n"),
+], ids=["cache", "cache-not-utf-8"])
 def test_failed_load_keeps_the_torn_tail(tmp_path, c4_file, capsys, command, first):
     # The torn tail is cut only once every complete line has been accepted.
     log = tmp_path / "log"
@@ -503,7 +513,7 @@ def test_failed_load_keeps_the_torn_tail(tmp_path, c4_file, capsys, command, fir
 
 def test_conflicting_cache_lines_are_an_input_error(tmp_path, c4_file, capsys):
     cache = tmp_path / "gamma.cache"
-    cache.write_text("Cl 3\nCl 2\n")
+    cache.write_text("Cl 3 7\nCl 2 3\n")
     assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == ""
@@ -546,25 +556,6 @@ def test_bad_cached_witness_is_an_input_error(tmp_path, c5_file, capsys, mask, e
     assert main(["gamma", c5_file, "--cache", str(cache)]) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: ") and error in err
-
-
-def test_value_only_log_gains_one_witness_line_per_graph(tmp_path, c4_file, c5_file,
-                                                         capsys):
-    cache = tmp_path / "gamma.cache"
-    argv = ["check-vizing", c4_file, c5_file, "--cache", str(cache)]
-    assert main(argv) == EXIT_OK
-    cold = capsys.readouterr().out
-    full = cache.read_text().splitlines()
-    assert len(full) == 3 and all(len(line.split()) == 3 for line in full)
-    bare = [line.rpartition(" ")[0] for line in full]
-    cache.write_text("".join(line + "\n" for line in bare))
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == cold
-    assert cache.read_text().splitlines() == bare + full
-    grown = cache.read_bytes()
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == cold
-    assert cache.read_bytes() == grown
 
 
 @pytest.mark.parametrize("graph", ["C4", "C5", "RANK6"])

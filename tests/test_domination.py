@@ -112,22 +112,6 @@ class TestGammaExact:
             gamma, witness = gamma_exact(g)
             assert witness == first_minimum_set(g, gamma)
 
-    def test_unseeded_witness_pass_is_first_minimum_set(self, monkeypatch):
-        # A cache of bare `key value` lines runs no value pass, so the witness
-        # probes start with no incumbent cover.
-        graphs = witness_oracle_graphs()
-        values = [gamma_value(g) for g in graphs]
-        monkeypatch.setattr(_Search, "minimum_size", None)
-        for g, gamma in zip(graphs, values):
-            cache = GammaCache()
-            cache.put(graph_key(g), gamma)
-            assert gamma_exact(g, cache) == (gamma, first_minimum_set(g, gamma))
-            if gamma > 1:
-                cache = GammaCache()
-                cache.put(graph_key(g), gamma - 1)
-                with pytest.raises(ValueError, match="domination number"):
-                    gamma_exact(g, cache)
-
     def test_agrees_with_oracle_exhaustively_to_7(self):
         for n in range(1, 8):
             for g in all_graphs(n):
@@ -259,7 +243,8 @@ class TestGammaCache:
         assert gamma_value(g, cache) == 2
         assert len(cache) == 1
         reloaded = GammaCache(path)
-        assert reloaded.get(graph_key(g)) == 2
+        assert bit_list(reloaded.get(graph_key(g))) == [0, 3]
+        assert path.read_text() == f"{graph_key(g)} 2 9\n"
 
     def test_append_only_accumulates(self, tmp_path):
         path = tmp_path / "gamma.cache"
@@ -267,12 +252,6 @@ class TestGammaCache:
         gamma_value(cycle_graph(4), cache)
         gamma_value(cycle_graph(5), cache)
         assert len(path.read_text().splitlines()) == 2
-
-    def test_inconsistent_write_rejected(self):
-        cache = GammaCache()
-        cache.put("x", 3)
-        with pytest.raises(RuntimeError):
-            cache.put("x", 4)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "gamma.cache"
@@ -282,21 +261,21 @@ class TestGammaCache:
 
     def test_torn_final_line_dropped(self, tmp_path):
         path = tmp_path / "gamma.cache"
-        path.write_text("Cl 2\nCl")
+        path.write_text("Cl 2 3\nCl")
         cache = GammaCache(path)
-        assert len(cache) == 1 and cache.get("Cl") == 2
-        # a torn "Cm 12" must not read as gamma 1
-        path.write_text("Cl 2\nCm 1")
+        assert len(cache) == 1 and cache.get("Cl") == 3
+        # a torn "Cm 2 30" must not read as the witness {0, 1}
+        path.write_text("Cl 2 3\nCm 2 3")
         cache = GammaCache(path)
         assert cache.get("Cm") is None and len(cache) == 1
-        cache.put("Cm", 12)
-        assert path.read_text() == "Cl 2\nCm 12\n"
-        assert GammaCache(path).get("Cm") == 12
+        cache.put("Cm", 0x30)
+        assert path.read_text() == "Cl 2 3\nCm 2 30\n"
+        assert GammaCache(path).get("Cm") == 0x30
 
     @pytest.mark.parametrize("text, error", [
-        ("Cl 3\nCl 2\n", ":2: conflicting cache line"),
+        ("Cl 3 7\nCl 2 3\n", ":2: conflicting cache line"),
         ("Cl 2 3\nCl 2 5\n", ":2: conflicting cache line"),
-        ("Cl 2\nCl 3 7\n", ":2: conflicting cache line"),
+        ("Cl 2 3\nCl 3 7\n", ":2: conflicting cache line"),
         ("Cl 2 3 3\n", ":1: malformed cache line"),
         ("Cl 2 0x3\n", ":1: malformed cache line"),
         ("Cl 2 3A\n", ":1: malformed cache line"),
@@ -304,6 +283,9 @@ class TestGammaCache:
         ("Cl 0\n", ":1: malformed cache line"),
         ("Cl -3\n", ":1: malformed cache line"),
         ("Cl x\n", ":1: malformed cache line"),
+        ("Cl 2\n", ":1: malformed cache line"),
+        ("Cl 0 0\n", ":1: malformed cache line"),
+        ("Cl x 3\n", ":1: malformed cache line"),
     ])
     def test_inconsistent_or_malformed_lines_rejected(self, tmp_path, text, error):
         path = tmp_path / "gamma.cache"
@@ -341,8 +323,13 @@ class TestGammaCache:
         cache = GammaCache()
         g = cycle_graph(7)
         key = graph_key(g)
-        cache.put(key, 99)  # wrong on purpose: proves the hit is used
-        assert gamma_value(g, cache) == 99
+        # every vertex dominates but is not minimum: proves the hit is used
+        cache.put(key, g.vertex_mask)
+        assert gamma_value(g, cache) == 7
+        cache = GammaCache()
+        cache.put(key, 0b11)  # {0, 1} misses vertices 3 and 4
+        with pytest.raises(ValueError, match="does not dominate"):
+            gamma_value(g, cache)
 
 
 def test_product_inequality_sampled_pairs_to_6():
