@@ -474,6 +474,24 @@ def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
     assert cache.read_bytes() == before
 
 
+def test_cached_value_above_a_reached_cover_is_an_input_error(tmp_path, capsys):
+    # gamma = 3 with witness [0, 1, 3]; a bare value 4 above that cover is
+    # refused as it is read, before any solve, and the log stays as it was.
+    graph = tmp_path / "g8.edges"
+    graph.write_text("0 4\n0 5\n0 7\n1 2\n2 5\n2 6\n2 7\n3 6\n4 5\n4 7\n5 6\n")
+    cache = tmp_path / "gamma.cache"
+    assert main(["gamma", str(graph), "--cache", str(cache)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("gamma = 3\nwitness = [0, 1, 3]\n")
+    key, _value, _witness = cache.read_text().split()
+    cache.write_text(f"{key} 4\n")
+    before = cache.read_bytes()
+    assert main(["gamma", str(graph), "--cache", str(cache)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {cache}:1: malformed cache line\n"
+    assert cache.read_bytes() == before
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "4", "2", "--output", "MISSING/scan.out"],
     ["gamma", "C4", "--cache", "MISSING/gamma.cache"],
