@@ -66,16 +66,22 @@ EXIT_FINDING = 4
 
 def load_graph_text(text: str) -> Graph:
     """A graph in the format its content shows: rows of 0/1 (a biadjacency
-    matrix), two fields on the first line (an edge list), or else graph6."""
-    content = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    content = [ln for ln in content if ln]
-    if content and all(set(ln) <= {"0", "1"} for ln in content):
-        return to_graph(parse_biadjacency(text)).graph
+    matrix), two fields on the first line (an edge list), or else graph6,
+    which is one line: a second content line is an input error."""
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    content = [ln for ln in lines if ln]
     if not content:
-        raise ParseError("empty graph6 input")
+        raise ParseError("the input holds no graph")
+    if all(set(ln) <= {"0", "1"} for ln in content):
+        return to_graph(parse_biadjacency(text)).graph
     if len(content[0].split()) == 2:
         return parse_edge_list(text)
-    return parse_graph6(content[0])
+    g = parse_graph6(content[0])
+    if len(content) > 1:
+        lineno = [i for i, ln in enumerate(lines, 1) if ln][1]
+        raise ParseError(f"line {lineno}: a second graph; graph6 input holds one",
+                         offset=lineno)
+    return g
 
 
 def _load_graph(path: str) -> Graph:
@@ -83,7 +89,10 @@ def _load_graph(path: str) -> Graph:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return load_graph_text(text)
+    try:
+        return load_graph_text(text)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

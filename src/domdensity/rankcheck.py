@@ -7,12 +7,14 @@ when k = 1.  The obstruction is therefore a theorem for k >= 2, while every
 1-regular (permutation) matrix is full-rank with the all-rows cover; scans
 surface those as the exact degenerate exception family.  Both sides of the
 implication are computed independently here: the rational rank of the
-integer matrix by fraction-free elimination, the covering by explicit
-backtracking search.  The implication is checked, never assumed.
+integer matrix by fraction-free elimination, the covering by a scan of
+the row subsets of the wanted size.  The implication is checked, never
+assumed.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError
@@ -61,44 +63,23 @@ def biadjacency_rank(m: BiadjacencyMatrix) -> int:
 
 
 def disjoint_row_cover(m: BiadjacencyMatrix, rows_wanted: int):
-    """Rows with pairwise-disjoint supports whose union is every column.
-
-    Backtracks on the least-covered column; all solutions are collected and
-    the lexicographically first row set (as a sorted index tuple) is
-    returned, or None.
+    """The lexicographically first ``rows_wanted`` rows (a sorted index
+    tuple) with pairwise-disjoint supports whose union is every column, or
+    None.
     """
     if rows_wanted < 1:
         raise PreconditionError("need rows_wanted >= 1")
-    n = m.n
-    full = (1 << n) - 1
-    rows = m.rows
-    solutions: list[tuple[int, ...]] = []
-
-    def descend(covered: int, chosen: list[int], budget: int):
-        if covered == full:
-            if budget == 0:
-                solutions.append(tuple(sorted(chosen)))
-            return
-        if budget == 0:
-            return
-        best_col = -1
-        best_cands: list[int] | None = None
-        for j in range(n):
-            if covered >> j & 1:
-                continue
-            cands = [i for i in range(n)
-                     if rows[i] >> j & 1 and not rows[i] & covered]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_col, best_cands = j, cands
-                if not cands:
-                    return
-        for i in best_cands:
-            chosen.append(i)
-            descend(covered | rows[i], chosen, budget - 1)
-            chosen.pop()
-
-    descend(0, [], rows_wanted)
-    return min(solutions) if solutions else None
+    full = (1 << m.n) - 1
+    for combo in combinations(range(m.n), rows_wanted):
+        covered = 0
+        for i in combo:
+            if m.rows[i] & covered:
+                break
+            covered |= m.rows[i]
+        else:
+            if covered == full:
+                return combo
+    return None
 
 
 class ObstructionReport(NamedTuple):

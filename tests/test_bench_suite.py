@@ -41,9 +41,9 @@ def test_tracer_reads_transform_layers(tmp_path, capsys):
     metrics = layer_metrics(tracer.spans)
     assert metrics["transform.hypothesis_calls"] == 1
     assert metrics["transform.rounds"] == len(trace["rounds"]) == 5
-    # transform's value-only solves: H, the product and the four grown
+    # transform's value-only solves: H, G, the product and the four grown
     # graphs; check-vizing reports a witness for each of its graphs.
-    assert metrics["domination.value_calls"] == 6
+    assert metrics["domination.value_calls"] == 7
 
 
 def test_tracer_reads_no_solve_on_warm_commands(tmp_path, capsys):

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from domdensity import cli, emit_graph6, enumeration, star, transform
+from domdensity import cli, emit_graph6, enumeration, path_graph, star, transform
+from domdensity.catalog import connected_bipartite_graphs
 from domdensity.domination import _Search
 from domdensity.cli import (
     EXIT_CAPACITY,
@@ -76,9 +77,17 @@ class TestGamma:
         assert record["bipartition_upper_bound"] == 6
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
+        # A graph6 file holds one graph; the error names the file.
         bad = tmp_path / "bad.g6"
-        bad.write_text("A_garbage\n")
-        assert main(["gamma", str(bad)]) == EXIT_INPUT
+        for text, error in [
+            ("A_garbage\n", "trailing data after graph6 payload (at offset 2)"),
+            ("Bw\nC~\n", "line 2: a second graph; graph6 input holds one (at offset 2)"),
+            ("# nothing\n\n", "the input holds no graph"),
+        ]:
+            bad.write_text(text)
+            assert main(["gamma", str(bad)]) == EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"input error: {bad}: {error}\n"
 
     def test_missing_file_exit_2(self):
         assert main(["gamma", "/nonexistent/path.g6"]) == EXIT_INPUT
@@ -133,6 +142,14 @@ class TestCheckVizing:
         assert main(["check-vizing", str(factor), c4_file, "--format", "json"]) == EXIT_OK
         criteria = json.loads(capsys.readouterr().out)["criteria"]
         assert criteria[0] == {"name": "imbalance", "satisfied": None, "note": note}
+
+    def test_parse_error_names_the_file(self, tmp_path, k2_file, capsys):
+        bad = tmp_path / "bad.edges"
+        bad.write_text("0 1\n1\n")
+        assert main(["check-vizing", k2_file, str(bad)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {bad}: line 2: expected 'u v' (at offset 2)\n"
 
     def test_capacity_exit_3(self, tmp_path, capsys):
         big = tmp_path / "big.g6"
@@ -330,6 +347,44 @@ class TestTransform:
         out = capsys.readouterr().out
         assert "satisfied: True at round 1" in out
 
+    # Every minimum dominating set is swept at every order: P17's lex-min
+    # witness has no usable side at 2/5, but another minimum set does.
+    def test_p17_uses_a_set_past_the_lexmin_witness(self, tmp_path, capsys):
+        p17 = tmp_path / "p17.g6"
+        p17.write_text(emit_graph6(path_graph(17)) + "\n")
+        assert main(["transform", str(p17), "--rho-h", "2/5",
+                     "--delta-h", "2"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "side X = A, m* = 4, round bound = 0"
+        assert out[-1] == "satisfied: True at round 0"
+
+    def test_sweep_over_the_subset_cap_exits_3(self, tmp_path, capsys):
+        p30 = tmp_path / "p30.g6"
+        p30.write_text(emit_graph6(path_graph(30)) + "\n")
+        assert main(["transform", str(p30), "--rho-h", "2/5",
+                     "--delta-h", "2", "--format", "json"]) == EXIT_CAPACITY
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("capacity: the hypothesis sweep would try"
+                              " C(30, 10) = 30045015 vertex subsets")
+
+    # sha256 of the json records of every connected bipartite graph with
+    # 2 <= n <= 6, in catalogue order, each at four densities.
+    def test_small_graph_records_are_pinned(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            for i, g in enumerate(connected_bipartite_graphs(n)):
+                path = tmp_path / f"g{n}_{i}.g6"
+                path.write_text(emit_graph6(g) + "\n")
+                for rho_h in ("1/3", "2/5", "1/2", "1"):
+                    assert main(["transform", str(path), "--rho-h", rho_h,
+                                 "--delta-h", "2", "--format", "json"]) == EXIT_OK
+                    out, err = capsys.readouterr()
+                    assert err == ""
+                    digest.update(out.encode())
+        assert digest.hexdigest() == \
+            "e205c72da78332e648588f452aa8a19cc93647b8df84d2cc1e5c2cb4df38b759"
+
     def test_hypothesis_not_met_still_exit_0(self, tmp_path, capsys):
         k33 = tmp_path / "k33.edges"
         k33.write_text("".join(f"{a} {b}\n" for a in range(3)
@@ -401,14 +456,15 @@ class TestTransform:
         assert out == "" and err.startswith("input error:")
 
     # rank6 is solved once at round 0; each of rounds 1-4 adds m* = 3 leaves,
-    # and only those grown graphs are solved again.
+    # and only those grown graphs are solved again.  Without a cache no
+    # witness pass runs: the sweep reads only gamma.
     GROWN = {15: 1, 18: 1, 21: 1, 24: 1}
 
     @pytest.mark.parametrize("partner, solves", [
         (["--h", "C5"], {"value": {12: 1, 5: 1, 60: 1, **GROWN},
-                         "witness": {12: 1}, "sweep": {12: 1}, "hypothesis": {12: 1}}),
+                         "witness": {}, "sweep": {12: 1}, "hypothesis": {12: 1}}),
         (["--rho-h", "2/5", "--delta-h", "2"],
-         {"value": {12: 1, **GROWN}, "witness": {12: 1}, "sweep": {12: 1},
+         {"value": {12: 1, **GROWN}, "witness": {}, "sweep": {12: 1},
           "hypothesis": {12: 1}}),
     ])
     def test_one_solve_per_quantity(self, tmp_path, rank6_file, partner, solves,

@@ -3,10 +3,12 @@ inequality, and the iterated leaf-attachment traces."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from domdensity import (
+    CapacityError,
     PreconditionError,
     attach_leaves,
     bipartition,
@@ -18,6 +20,7 @@ from domdensity import (
     gamma_brute,
     gamma_exact,
     gamma_value,
+    is_dominating,
     iterate_leaves,
     m_star,
     path_graph,
@@ -69,13 +72,49 @@ class TestHypothesis:
         hyp = evaluate_hypothesis(bg, Fraction(1, 2))
         assert not hyp.gate_met and not hyp.usable
         assert hyp.side is hyp.side_size is hyp.d_in_side is hyp.m_star is None
-        assert hyp.swept_all_minimum_sets
 
     def test_c6_at_own_density_equality_gap(self):
         # every minimum set splits 1 + 1, so both sides sit exactly at 1/3
         bg = bipartition(cycle_graph(6))
         hyp = evaluate_hypothesis(bg, Fraction(1, 3))
         assert hyp.gate_met and not hyp.usable and hyp.equality_flagged
+
+    # Above 14 vertices only the lex-min witness used to be tried: P17 at
+    # 2/5 was reported as "hypothesis not met", and P19 at 1/3 took side B.
+    def test_p17_sweeps_past_the_lexmin_witness(self):
+        bg = bipartition(path_graph(17))
+        hyp = evaluate_hypothesis(bg, Fraction(2, 5))
+        assert hyp.usable and hyp.side == "A" and hyp.m_star == 4
+        trace = iterate_leaves(bg, 2, hyp, max_rounds=4)
+        assert trace.satisfied and trace.final_round == 0
+
+    # The documented rule, from gamma_brute and every subset of that size:
+    # the smallest m_star, then side A, then the smallest set mask.
+    @pytest.mark.parametrize("g, rho_h", [
+        (path_graph(17), Fraction(2, 5)), (path_graph(19), Fraction(1, 2)),
+        (cycle_graph(16), Fraction(2, 5)), (path_graph(19), Fraction(1, 3)),
+    ], ids=["P17", "P19", "C16", "P19-side-A"])
+    def test_chosen_split_is_the_rule_over_every_minimum_set(self, g, rho_h):
+        bg = bipartition(g)
+        gamma = gamma_brute(g)
+        splits = []
+        for combo in combinations(range(g.n), gamma):
+            mask = sum(1 << v for v in combo)
+            if not is_dominating(g, mask):
+                continue
+            for side, side_mask in (("A", bg.side_a), ("B", bg.side_b)):
+                ms = m_star(side_mask.bit_count(), (mask & side_mask).bit_count(),
+                            rho_h)
+                if ms is not None:
+                    splits.append((ms, side, mask, mask & side_mask))
+        ms, side, _, d_in = min(splits)
+        hyp = evaluate_hypothesis(bg, rho_h)
+        assert (hyp.gamma, hyp.m_star, hyp.side, hyp.d_in_side) == (gamma, ms, side, d_in)
+
+    def test_sweep_over_the_subset_cap_is_refused(self):
+        # C(30, 10) = 30,045,015 subsets of P30
+        with pytest.raises(CapacityError, match="C\\(30, 10\\)"):
+            evaluate_hypothesis(bipartition(path_graph(30)), Fraction(2, 5))
 
     def test_minimum_set_sweep_matches_brute(self):
         g = cycle_graph(6)
