@@ -39,7 +39,7 @@ from .enumeration import (
 )
 from .errors import CapacityError, FindingError, ParseError, PreconditionError
 from .graphs import (
-    DEFAULT_MAX_PRODUCT_VERTICES,
+    MAX_VERTICES,
     BipartiteGraph,
     Graph,
     attach_leaves,

@@ -39,7 +39,6 @@ from .enumeration import (
 )
 from .errors import CapacityError, FindingError, ParseError, PreconditionError
 from .graphs import (
-    DEFAULT_MAX_PRODUCT_VERTICES,
     Graph,
     bipartition,
     bit_list,
@@ -93,6 +92,8 @@ def _load_graph(path: str) -> Graph:
         return load_graph_text(text)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except CapacityError as exc:
+        raise CapacityError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def cmd_check_vizing(args) -> int:
     g = _load_graph(args.g)
     h = _load_graph(args.h)
     cache = GammaCache(args.cache) if args.cache else None
-    report = check_vizing(g, h, cache, args.max_vertices)
+    report = check_vizing(g, h, cache)
     density_ok = density_vizing_check(g, h, report)
 
     criteria: list[dict] = []
@@ -244,7 +245,7 @@ def cmd_check_vizing(args) -> int:
 def cmd_scan(args) -> int:
     # enumerate_kreg checks the cell when its first class is asked for, and
     # every valid cell has one: a refused cell leaves --output as it was.
-    generated = enumerate_kreg(args.n, args.k, args.allow_large)
+    generated = enumerate_kreg(args.n, args.k)
     first = next(generated)
     out = open(args.output, "w") if args.output else sys.stdout
     try:
@@ -275,7 +276,7 @@ def cmd_scan(args) -> int:
             out.flush()
             classes += 1
             max_gamma = max(max_gamma, record["gamma"])
-            findings += record_findings(m, record)
+            findings += record_findings(record)
 
         summary = {"type": "summary", "n": args.n, "k": args.k, "classes": classes,
                    "max_gamma": max_gamma, "findings": len(findings)}
@@ -358,7 +359,7 @@ def cmd_transform(args) -> int:
     record = {}
     if args.h:
         record["constructive"] = constructive_inequality_check(
-            bg, h, gamma_h, hyp, cache, args.max_vertices)._asdict()
+            bg, h, gamma_h, hyp, cache)._asdict()
     t = iterate_leaves(bg, delta_h, hyp, args.max_rounds, cache)._asdict()
     record["trace"] = t
     if args.format == "text":
@@ -405,15 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     tabular.add_argument("--format", choices=("json", "csv", "text"), default="text")
     cached = argparse.ArgumentParser(add_help=False)
     cached.add_argument("--cache", help="path of the persistent gamma cache log")
-    products = argparse.ArgumentParser(add_help=False)
-    products.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_PRODUCT_VERTICES)
 
     p = sub.add_parser("gamma", parents=[tabular, cached],
                        help="exact domination number with bounds")
     p.add_argument("input")
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("check-vizing", parents=[tabular, cached, products],
+    p = sub.add_parser("check-vizing", parents=[tabular, cached],
                        help="product inequality plus every applicable criterion")
     p.add_argument("g")
     p.add_argument("h")
@@ -423,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive k-regular bipartite class scan")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--output", help="write the records here, not to stdout")
     p.set_defaults(func=cmd_scan)
 
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print published reference values alongside computed ones")
     p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("transform", parents=[cached, products],
+    p = sub.add_parser("transform", parents=[cached],
                        help="iterated leaf attachment trace")
     # Trace rounds are a list of records, which a csv cell cannot hold.
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -453,8 +451,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "max_vertices", 1) < 1:
-            raise ParseError(f"--max-vertices must be at least 1, not {args.max_vertices}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ParseError and PreconditionError are ValueErrors; an OSError is a

@@ -39,20 +39,14 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from itertools import accumulate, combinations
 from operator import or_
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError
-from .graphs import (
-    DEFAULT_MAX_PRODUCT_VERTICES,
-    Graph,
-    bit_list,
-    cartesian_product,
-    graph_key,
-    max_degree,
-)
+from .graphs import Graph, bit_list, cartesian_product, graph_key, max_degree
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -87,13 +81,16 @@ class _Search:
     """Branch-and-bound state shared by the value pass and the witness pass."""
 
     def __init__(self, g: Graph):
+        # _descend recurses once per chosen vertex, so a search is at most n
+        # deep; the default limit's 1000 frames stay for the callers.
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), g.n + 1000))
         self.n = g.n
         self.full = g.vertex_mask
         self.closed = closed_neighborhoods(g)
         self.cover_span = max_degree(g) + 1
-        order = sorted(range(g.n), key=lambda v: (-g.neighbors[v].bit_count(), v))
+        self.order = sorted(range(g.n), key=lambda v: (-g.neighbors[v].bit_count(), v))
         self.pref = [0] * g.n
-        for r, v in enumerate(order):
+        for r, v in enumerate(self.order):
             self.pref[v] = r
         self.cand_order = [
             tuple(sorted(bit_list(self.closed[v]), key=lambda u: self.pref[u]))
@@ -121,17 +118,16 @@ class _Search:
         self.found = 0  # the last full cover reached, of size best
 
     def greedy_cover(self) -> int:
+        """Max-coverage greedy cover; ties go to the vertex first in pref order."""
         covered = 0
         chosen = 0
         while covered != self.full:
             best_v = -1
             best_gain = 0
-            for v in range(self.n):
+            for v in self.order:
                 gain = (self.closed[v] & ~covered).bit_count()
-                if gain > best_gain or (gain == best_gain and best_v >= 0
-                                        and self.pref[v] < self.pref[best_v]):
-                    if gain > 0:
-                        best_v, best_gain = v, gain
+                if gain > best_gain:
+                    best_v, best_gain = v, gain
             chosen |= 1 << best_v
             covered |= self.closed[best_v]
         return chosen
@@ -293,10 +289,9 @@ def gamma_brute(g: Graph) -> int:
     raise AssertionError("unreachable: the full vertex set dominates")
 
 
-def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None,
-                 max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES) -> VizingReport:
+def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None) -> VizingReport:
     """Evaluate gamma(G box H) >= gamma(G) gamma(H) with exact values."""
-    product = cartesian_product(g, h, max_vertices)
+    product = cartesian_product(g, h)
     gamma_g, wit_g = gamma_exact(g, cache)
     gamma_h, wit_h = gamma_exact(h, cache)
     gamma_p, wit_p = gamma_exact(product, cache)

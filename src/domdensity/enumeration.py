@@ -31,11 +31,10 @@ from typing import Iterator, NamedTuple, Sequence
 from .criteria import conjectured_kreg_bound, kreg_order_bound
 from .domination import gamma_value
 from .errors import CapacityError, ParseError, PreconditionError
-from .graphs import BipartiteGraph, Graph, is_connected
+from .graphs import BipartiteGraph, Graph, check_order, is_connected
 from .rankcheck import obstruction_report
 
-SCAN_CAP = 7
-SCAN_CAP_LARGE = 8
+SCAN_CAP = 8
 
 
 class _MatrixFields(NamedTuple):
@@ -102,6 +101,7 @@ def parse_biadjacency(text: str) -> BiadjacencyMatrix:
     n = len(rows01[0])
     if any(len(r) != n for r in rows01) or len(rows01) != n:
         raise ParseError(f"matrix is not square ({len(rows01)} rows, width {n})")
+    check_order(2 * n)
     rows = tuple(sum((int(c) << j) for j, c in enumerate(r)) for r in rows01)
     k = rows[0].bit_count()
     return BiadjacencyMatrix(n, k, rows)
@@ -206,7 +206,7 @@ def encode_key(n: int, k: int, rows) -> str:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[BiadjacencyMatrix]:
+def enumerate_kreg(n: int, k: int) -> Iterator[BiadjacencyMatrix]:
     """Yield the V-minimal member of every row/column-permutation class,
     in increasing V order, where V(M) is the tuple of row masks, row 0 first.
 
@@ -227,16 +227,13 @@ def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[Biadja
     its class to appear.  It is the only member that no column permutation
     lowers, which is how duplicates are dropped: ``canonical_key`` runs
     seeded with the matrix's own rows and stops at the first member below
-    them, instead of searching for the whole minimum.  Capped at n <= 7
-    unless explicitly allowed up to 8.
+    them, instead of searching for the whole minimum.  Capped at
+    n <= ``SCAN_CAP``.
     """
-    cap = SCAN_CAP_LARGE if allow_large else SCAN_CAP
     if not 1 <= k <= n:
         raise PreconditionError("need 1 <= k <= n")
-    if n > cap:
-        raise CapacityError(
-            f"enumeration capped at n <= {cap}"
-            + ("" if allow_large else " (pass allow_large for n = 8)"))
+    if n > SCAN_CAP:
+        raise CapacityError(f"enumeration capped at n <= {SCAN_CAP}")
 
     candidates = [
         sum(1 << j for j in combo) for combo in combinations(range(n), k)
@@ -280,16 +277,6 @@ def enumerate_kreg(n: int, k: int, allow_large: bool = False) -> Iterator[Biadja
 # ---------------------------------------------------------------------------
 # n = k + 2 structure
 # ---------------------------------------------------------------------------
-
-def _twin_structure(m: BiadjacencyMatrix) -> str:
-    """'gamma4' when every row's two non-neighbours have identical columns."""
-    cols = [m.column(j) for j in range(m.n)]
-    for row in m.rows:
-        b1, b2 = (j for j in range(m.n) if not row >> j & 1)
-        if cols[b1] != cols[b2]:
-            return "gamma3"
-    return "gamma4"
-
 
 def is_unique_form(m: BiadjacencyMatrix) -> bool:
     """True iff some row/column permutation yields all ones minus disjoint
@@ -351,15 +338,15 @@ def _case(m: BiadjacencyMatrix) -> str:
     if m.n <= m.k + 1:
         return "gamma2"
     if m.n == m.k + 2:
-        return "gamma4-unique-form" if _twin_structure(m) == "gamma4" else "gamma3"
+        return "gamma4-unique-form" if is_unique_form(m) else "gamma3"
     return "other"
 
 
 _CASE_GAMMA = {"gamma2": 2, "gamma3": 3, "gamma4-unique-form": 4}
 
 
-def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
-    """Every finding of class ``m``, read off its record (the fields of
+def record_findings(record: dict) -> list[Finding]:
+    """Every finding of a class, read off its record (the fields of
     ``SCAN_RECORD_FIELDS``).  The obstruction finding comes last."""
     key, gamma, case = record["key"], record["gamma"], record["case"]
     findings: list[Finding] = []
@@ -367,12 +354,6 @@ def record_findings(m: BiadjacencyMatrix, record: dict) -> list[Finding]:
     if expected is not None and gamma != expected:
         findings.append(Finding("classification", key,
                                 {"case": case, "gamma": gamma, "expected": expected}))
-    if case == "gamma4-unique-form" and not is_unique_form(m):
-        findings.append(Finding("unique-form", key,
-                                {"detail": "gamma4 structure without twin tiling"}))
-    if case == "gamma3" and is_unique_form(m):
-        findings.append(Finding("unique-form", key,
-                                {"detail": "twin tiling classified gamma3"}))
     if gamma > record["conj_bound"]:
         findings.append(Finding("conjecture-bound", key,
                                 {"gamma": gamma, "bound": record["conj_bound"]}))

@@ -12,7 +12,9 @@ from typing import NamedTuple
 
 from .errors import CapacityError, ParseError, PreconditionError
 
-DEFAULT_MAX_PRODUCT_VERTICES = 4096
+# The one vertex cap, on every input graph and every product: it bounds the
+# memory of a graph and the depth of the solver's recursion, not its time.
+MAX_VERTICES = 4096
 CANONICAL_FORM_MAX = 10
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -75,6 +77,12 @@ class Graph(_GraphFields):
         for v in range(self.n):
             for u in iter_bits(self.neighbors[v] >> (v + 1)):
                 yield v, v + 1 + u
+
+
+def check_order(n: int, what: str = "graph order") -> None:
+    """Refuse an order above ``MAX_VERTICES`` before any table is built."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{what} {n} exceeds the {MAX_VERTICES}-vertex cap")
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -178,6 +186,7 @@ def parse_graph6(text: str) -> Graph:
     n, pos = _decode_order(s, pos)
     if n == 0:
         raise ParseError("zero-vertex graphs are not supported", offset=0)
+    check_order(n)
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
     if len(s) - pos < ngroups:
@@ -267,6 +276,7 @@ def parse_edge_list(text: str) -> Graph:
         top = max(top, u, v)
     if not edges:
         raise ParseError("no edges in edge-list input")
+    check_order(top + 1)
     return from_edges(top + 1, edges)
 
 
@@ -350,14 +360,11 @@ def bipartition(g: Graph) -> BipartiteGraph | None:
 # Cartesian products and leaf attachment
 # ---------------------------------------------------------------------------
 
-def cartesian_product(g: Graph, h: Graph,
-                      max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES) -> Graph:
+def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,b) ~ (a',b') iff equal in one coordinate and
     adjacent in the other.  Vertex (a, b) gets index a * h.n + b."""
     total = g.n * h.n
-    if total > max_vertices:
-        raise CapacityError(
-            f"product order {total} exceeds the {max_vertices}-vertex cap")
+    check_order(total, "product order")
     hn = h.n
     nb = [0] * total
     for a in range(g.n):

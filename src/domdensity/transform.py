@@ -24,7 +24,6 @@ from .criteria import CriterionVerdict
 from .domination import GammaCache, closed_neighborhoods, gamma_value
 from .errors import CapacityError, FindingError, PreconditionError
 from .graphs import (
-    DEFAULT_MAX_PRODUCT_VERTICES,
     BipartiteGraph,
     Graph,
     attach_leaves,
@@ -157,9 +156,7 @@ class ConstructiveReport(NamedTuple):
 
 def constructive_inequality_check(bg: BipartiteGraph, h: Graph, gamma_h: int,
                                   hyp: HypothesisReport,
-                                  cache: GammaCache | None = None,
-                                  max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
-                                  ) -> ConstructiveReport:
+                                  cache: GammaCache | None = None) -> ConstructiveReport:
     """gamma(G box H) + m_star |V(H)| >= gamma(G) gamma(H), term by term.
 
     ``gamma_h`` is gamma(H) and ``hyp`` is ``evaluate_hypothesis`` of ``bg``
@@ -173,7 +170,7 @@ def constructive_inequality_check(bg: BipartiteGraph, h: Graph, gamma_h: int,
     if not hyp.usable:
         return ConstructiveReport(applicable=False, gamma_product=None,
                                   lhs=None, holds=None, **terms)
-    gamma_p = gamma_value(cartesian_product(bg.graph, h, max_vertices), cache)
+    gamma_p = gamma_value(cartesian_product(bg.graph, h), cache)
     lhs = gamma_p + hyp.m_star * h.n
     return ConstructiveReport(applicable=True, gamma_product=gamma_p, lhs=lhs,
                               holds=lhs >= terms["rhs"], **terms)

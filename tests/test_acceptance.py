@@ -105,10 +105,10 @@ def test_criterion_04_small_balanced_cases():
     for k, n in cells:
         gamma4 = []
         seen_any = False
-        for matrix in enumerate_kreg(n, k, allow_large=n == 8):
+        for matrix in enumerate_kreg(n, k):
             seen_any = True
             record = class_record(matrix)
-            findings = record_findings(matrix, record)
+            findings = record_findings(record)
             assert not findings, (k, n, findings)
             if n <= k + 1:
                 assert record["gamma"] == 2, (k, n, record["key"])
@@ -134,7 +134,7 @@ def test_criterion_05_conjecture_scan_to_7():
     for n in range(1, 8):
         for k in range(1, n + 1):
             findings = [f for m in enumerate_kreg(n, k)
-                        for f in record_findings(m, class_record(m))]
+                        for f in record_findings(class_record(m))]
             for finding in findings:
                 if finding.kind != "conjecture-bound":
                     continue

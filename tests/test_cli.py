@@ -2,11 +2,20 @@
 
 import hashlib
 import json
+import time
 from collections import Counter
 
 import pytest
 
-from domdensity import cli, emit_graph6, enumeration, path_graph, star, transform
+from domdensity import (
+    MAX_VERTICES,
+    cli,
+    emit_graph6,
+    enumeration,
+    path_graph,
+    star,
+    transform,
+)
 from domdensity.catalog import connected_bipartite_graphs
 from domdensity.domination import _Search
 from domdensity.cli import (
@@ -92,6 +101,34 @@ class TestGamma:
     def test_missing_file_exit_2(self):
         assert main(["gamma", "/nonexistent/path.g6"]) == EXIT_INPUT
 
+    # A graph above MAX_VERTICES is refused before its neighbour table is
+    # built: an edge list by its largest index, graph6 by its decoded order,
+    # a biadjacency matrix (here the identity) by its 2n vertices.
+    @pytest.mark.parametrize("fmt, order", [
+        ("edge-list", 2_000_001),
+        ("graph6", MAX_VERTICES + 1),
+        ("biadjacency", MAX_VERTICES + 2),
+    ])
+    def test_graph_above_the_vertex_cap_exit_3(self, tmp_path, capsys, fmt, order):
+        path = tmp_path / "big"
+        if fmt == "edge-list":
+            path.write_text(f"0 1\n1 {order - 1}\n")
+        elif fmt == "graph6":
+            groups = -(-order * (order - 1) // 12)
+            path.write_text("~" + "".join(chr(63 + (order >> s & 63)) for s in (12, 6, 0))
+                            + "?" * groups + "\n")
+        else:
+            n = order // 2
+            path.write_text("".join("0" * i + "1" + "0" * (n - 1 - i) + "\n"
+                                    for i in range(n)))
+        started = time.perf_counter()
+        assert main(["gamma", str(path)]) == EXIT_CAPACITY
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"capacity: {path}: graph order {order} exceeds the"
+                       f" {MAX_VERTICES}-vertex cap\n")
+
 
 class TestCheckVizing:
     def test_k2_pair(self, k2_file, capsys):
@@ -154,24 +191,10 @@ class TestCheckVizing:
     def test_capacity_exit_3(self, tmp_path, capsys):
         big = tmp_path / "big.g6"
         big.write_text(emit_graph6(star(80)) + "\n")
-        assert main(["check-vizing", str(big), str(big),
-                     "--max-vertices", "100"]) == EXIT_CAPACITY
-
-    # A cap below 1 is malformed input, refused before any graph is read,
-    # also by transform without --h, which builds no product.
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    @pytest.mark.parametrize("argv", [
-        ["check-vizing", "@c5", "@c5"],
-        ["transform", "@c4", "--rho-h", "1/2", "--delta-h", "2"],
-    ], ids=["check-vizing", "transform"])
-    def test_non_positive_max_vertices_is_an_input_error(self, request, capsys,
-                                                          argv, cap):
-        argv = [request.getfixturevalue(a[1:] + "_file") if a.startswith("@") else a
-                for a in argv]
-        assert main([*argv, "--max-vertices", cap]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"input error: --max-vertices must be at least 1, not {cap}\n"
+        assert main(["check-vizing", str(big), str(big)]) == EXIT_CAPACITY
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "capacity: product order 6561 exceeds the 4096-vertex cap\n"
 
 
 class TestScan:
@@ -190,10 +213,11 @@ class TestScan:
             assert field in sample
 
     def test_scan_over_cap_refused(self, capsys):
-        assert main(["scan", "8", "3"]) == EXIT_CAPACITY
+        assert main(["scan", "9", "3"]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == "capacity: enumeration capped at n <= 8\n"
 
-    def test_scan_8_6_allow_large(self, capsys):
-        assert main(["scan", "8", "6", "--allow-large", "--format", "json"]) == EXIT_OK
+    def test_scan_8_6_needs_no_flag(self, capsys):
+        assert main(["scan", "8", "6", "--format", "json"]) == EXIT_OK
         out = capsys.readouterr().out
         summary = json.loads(out.splitlines()[-1])
         assert summary["classes"] == 7 and summary["findings"] == 0
@@ -238,7 +262,7 @@ class TestScan:
         assert main(argv + [str(part)]) == EXIT_OK
         assert part.read_bytes() == full.read_bytes()
 
-    @pytest.mark.parametrize("n, k, status", [(8, 3, EXIT_CAPACITY), (5, 0, EXIT_INPUT)])
+    @pytest.mark.parametrize("n, k, status", [(9, 3, EXIT_CAPACITY), (5, 0, EXIT_INPUT)])
     def test_refused_scan_leaves_its_output_unchanged(self, tmp_path, capsys,
                                                       n, k, status):
         out = tmp_path / "scan.out"
@@ -650,7 +674,10 @@ def test_stdout_is_the_same_cold_and_warm(tmp_path, c4_file, c5_file, rank6_file
 # Flags that no command reads are not accepted.
 @pytest.mark.parametrize("argv", [
     ["gamma", "@c4", "--max-vertices", "1"],
+    ["check-vizing", "@c4", "@c4", "--max-vertices", "4096"],
+    ["transform", "@c4", "--h", "@c4", "--max-vertices", "4096"],
     ["scan", "4", "2", "--max-vertices", "9"],
+    ["scan", "8", "6", "--allow-large"],
     ["scan", "4", "2", "--input-format", "graph6"],
     ["scan", "4", "2", "--resume"],
     ["scan", "4", "2", "--cache", "C"],

@@ -2,6 +2,7 @@
 inequality check, and the persistent gamma cache."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -98,6 +99,18 @@ class TestGammaExact:
         gamma, witness = gamma_exact(g)
         assert gamma == 4 == gamma_brute(g)
         assert is_dominating(g, witness)
+
+    def test_a_solve_deeper_than_the_default_recursion_limit(self):
+        # The witness probes descend about gamma levels: P3023 (gamma 1008)
+        # overflowed the interpreter's default limit of 1000 frames.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            g = path_graph(3023)
+            gamma, witness = gamma_exact(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert gamma == 1008 and is_dominating(g, witness)
 
     def test_witness_is_lexicographically_first(self):
         # P4: {0,2} beats every other minimum dominating set in sorted order
@@ -232,7 +245,7 @@ class TestCheckVizing:
 
     def test_capacity_propagates(self):
         with pytest.raises(CapacityError):
-            check_vizing(complete_graph(9), complete_graph(9), max_vertices=64)
+            check_vizing(complete_graph(65), complete_graph(65))
 
 
 class TestGammaCache:

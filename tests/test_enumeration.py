@@ -148,6 +148,17 @@ def _sorted_members(rows, n):
             for cp in permutations(range(n))}
 
 
+def _twin_tiled(m: BiadjacencyMatrix) -> bool:
+    """Oracle for ``is_unique_form`` at n = k + 2: every row's two zero
+    columns are identical columns."""
+    cols = [m.column(j) for j in range(m.n)]
+    for row in m.rows:
+        b1, b2 = (j for j in range(m.n) if not row >> j & 1)
+        if cols[b1] != cols[b2]:
+            return False
+    return True
+
+
 def _decode_key(key: str, n: int) -> tuple[int, ...]:
     width = (n + 3) // 4
     hexrows = key.split(".", 2)[2]
@@ -288,13 +299,13 @@ class TestEnumerate:
         assert ours == _orbit_class_count(n, k)
 
     def test_capacity_guard_and_override(self):
-        with pytest.raises(CapacityError):
-            list(enumerate_kreg(8, 6))
-        assert len(list(enumerate_kreg(8, 8, allow_large=True))) == 1
+        with pytest.raises(CapacityError, match=r"^enumeration capped at n <= 8$"):
+            list(enumerate_kreg(9, 3))
+        assert len(list(enumerate_kreg(8, 8))) == 1
 
     @pytest.mark.parametrize("n,k", sorted(PINNED_CLASSES))
     def test_representatives_are_column_ordered_and_pinned(self, n, k):
-        classes = list(enumerate_kreg(n, k, allow_large=n == 8))
+        classes = list(enumerate_kreg(n, k))
         assert [m.rows for m in classes] == sorted(m.rows for m in classes)
         for m in classes:
             # columns read with row 0 as the most significant bit
@@ -311,14 +322,14 @@ class TestEnumerate:
         # complementing every entry maps the classes at (n, k) one to one
         # onto the classes at (n, n - k)
         full = (1 << n) - 1
-        classes = list(enumerate_kreg(n, k, allow_large=n == 8))
+        classes = list(enumerate_kreg(n, k))
         complements = {
             canonical_key(BiadjacencyMatrix(n, n - k, tuple(full ^ r for r in m.rows)))
             for m in classes}
         assert len(complements) == len(classes)
         assert complements == {
             encode_key(n, n - k, m.rows)
-            for m in enumerate_kreg(n, n - k, allow_large=n == 8)}
+            for m in enumerate_kreg(n, n - k)}
 
     def test_worked_example_class_is_enumerated(self, rank6_matrix):
         keys = {canonical_key(m) for m in enumerate_kreg(6, 3)}
@@ -329,14 +340,14 @@ class TestKPlus2Structure:
     def test_block_form_classifies_gamma4(self, block6_matrix):
         record = class_record(block6_matrix)
         assert record["case"] == "gamma4-unique-form" and record["gamma"] == 4
-        assert record_findings(block6_matrix, record) == []
+        assert record_findings(record) == []
         assert is_unique_form(block6_matrix)
 
     def test_5_3_classes_are_gamma3(self):
         for m in enumerate_kreg(5, 3):
             record = class_record(m)
             assert record["case"] == "gamma3" and record["gamma"] == 3
-            assert record_findings(m, record) == []
+            assert record_findings(record) == []
             assert gamma_brute(to_graph(m).graph) == 3
             assert not is_unique_form(m)
 
@@ -348,12 +359,28 @@ class TestKPlus2Structure:
         assert not is_unique_form(rank6_matrix)  # n is not k + 2
         assert not is_unique_form(BiadjacencyMatrix(3, 1, (1, 2, 4)))  # odd order
 
+    def test_unique_form_agrees_with_twin_oracle(self):
+        # every class with n = k + 2 and n <= 8, then randomly permuted members
+        classes = [m for n in range(3, 9) for m in enumerate_kreg(n, n - 2)]
+        assert len(classes) == 20
+        for m in classes:
+            assert is_unique_form(m) == _twin_tiled(m), m.rows
+        rng = random.Random(18)
+        for _ in range(1000):
+            m = rng.choice(classes)
+            rp, cp = list(range(m.n)), list(range(m.n))
+            rng.shuffle(rp)
+            rng.shuffle(cp)
+            member = BiadjacencyMatrix(
+                m.n, m.k, _column_permuted([m.rows[i] for i in rp], m.n, cp))
+            assert is_unique_form(member) == _twin_tiled(member) == is_unique_form(m)
+
     def test_unique_form_at_8(self):
         m = unique_form_matrix(8)
         assert is_unique_form(m)
         record = class_record(m)
         assert record["case"] == "gamma4-unique-form" and record["gamma"] == 4
-        assert record_findings(m, record) == []
+        assert record_findings(record) == []
 
 
 class TestScan:
@@ -364,7 +391,7 @@ class TestScan:
         assert len(gamma4) == 1
         assert gamma4[0]["case"] == "gamma4-unique-form"
         assert gamma4[0]["key"] == canonical_key(block6_matrix)
-        assert not [f for m, r in zip(classes, records) for f in record_findings(m, r)]
+        assert not [f for r in records for f in record_findings(r)]
 
     def test_scan_6_3_includes_worked_example(self, rank6_matrix):
         records = [class_record(m) for m in enumerate_kreg(6, 3)]
@@ -403,7 +430,7 @@ class TestScan:
         # whose gamma contradicts its case
         record = class_record(block6_matrix)
         assert record["case"] == "gamma4-unique-form"
-        findings = record_findings(block6_matrix, {**record, "gamma": 3})
+        findings = record_findings({**record, "gamma": 3})
         assert [(f.kind, f.key, f.detail) for f in findings] == [
             ("classification", record["key"],
              {"case": "gamma4-unique-form", "gamma": 3, "expected": 4})]

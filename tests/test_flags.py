@@ -1,4 +1,5 @@
-"""Every option of every subcommand is read by the command it configures.
+"""Every option of every subcommand is read by the command it configures,
+and the README's flag table lists exactly those options.
 
 Each subcommand's function is parsed with ``ast``; an option whose ``dest``
 never appears as ``args.<dest>`` there is a flag that is accepted and then
@@ -7,7 +8,9 @@ ignored.
 
 import ast
 import inspect
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,18 @@ def test_every_option_is_read(name):
               if action.dest != "help" and action.dest not in read
               and (name, action.dest) not in ALLOWED_UNREAD]
     assert not unread, f"{name}: options never read: {unread}"
+
+
+def test_readme_flag_table_lists_each_subcommands_options():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2  # past the header rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    options = {name: {opt for action in sub._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help")}
+               for name, sub in SUBCOMMANDS.items()}
+    assert table == options
