@@ -330,8 +330,6 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    if args.max_rounds < 1:
-        raise ParseError(f"--max-rounds must be at least 1, not {args.max_rounds}")
     if args.delta_h is not None and args.delta_h < 0:
         raise ParseError(f"--delta-h must be at least 0, not {args.delta_h}")
     g = _load_graph(args.input)
@@ -360,7 +358,7 @@ def cmd_transform(args) -> int:
     if args.h:
         record["constructive"] = constructive_inequality_check(
             bg, h, gamma_h, hyp, cache)._asdict()
-    t = iterate_leaves(bg, delta_h, hyp, args.max_rounds, cache)._asdict()
+    t = iterate_leaves(bg, delta_h, hyp, cache)._asdict()
     record["trace"] = t
     if args.format == "text":
         if not t["hypothesis_met"]:
@@ -441,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", help="partner graph file (enables the product check)")
     p.add_argument("--rho-h", help="partner density as p/q (without --h)")
     p.add_argument("--delta-h", type=int, help="partner maximum degree (without --h)")
-    p.add_argument("--max-rounds", type=int, default=64)
     p.set_defaults(func=cmd_transform)
 
     return parser

@@ -282,10 +282,11 @@ def is_unique_form(m: BiadjacencyMatrix) -> bool:
     """True iff some row/column permutation yields all ones minus disjoint
     2x2 zero blocks.
 
-    Checked structurally: rows pair up into identical twins, the twin pairs'
-    zero columns tile the column set disjointly, and columns pair up the
-    same way.  Odd orders (and any shape other than n = k + 2) are False,
-    the form does not exist there.
+    Checked structurally: rows pair up into identical twins, and the twin
+    pairs' zero columns tile the column set disjointly.  The columns then
+    pair up too, since column j's zeros are the twin pair whose zeros hold
+    j.  Odd orders (and any shape other than n = k + 2) are False, the form
+    does not exist there.
     """
     if m.n != m.k + 2 or m.n % 2:
         return False
@@ -301,13 +302,7 @@ def is_unique_form(m: BiadjacencyMatrix) -> bool:
         if zeros & zero_union:
             return False
         zero_union |= zeros
-    if zero_union != full:
-        return False
-    col_groups: dict[int, int] = {}
-    for j in range(m.n):
-        col = m.column(j)
-        col_groups[col] = col_groups.get(col, 0) + 1
-    return all(c == 2 for c in col_groups.values())
+    return zero_union == full
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import binascii
 from typing import NamedTuple
 
 from .errors import CapacityError, ParseError, PreconditionError
@@ -18,6 +19,12 @@ MAX_VERTICES = 4096
 CANONICAL_FORM_MAX = 10
 
 _GRAPH6_HEADER = ">>graph6<<"
+# graph6 writes 6 bits per character as chr(63 + value), base64 as its
+# alphabet, so binascii packs and unpacks the payload in C.
+_GRAPH6_CHARS = bytes(range(63, 127))
+_BASE64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64_CHARS, _GRAPH6_CHARS)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6_CHARS, _BASE64_CHARS)
 
 
 def iter_bits(mask: int):
@@ -193,22 +200,19 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError("truncated adjacency payload", offset=len(s))
     if len(s) - pos > ngroups:
         raise ParseError("trailing data after graph6 payload", offset=pos + ngroups)
-    vals = []
-    for i in range(ngroups):
-        c = ord(s[pos + i])
-        if not 63 <= c <= 126:
-            raise ParseError(f"invalid graph6 byte {s[pos + i]!r}", offset=pos + i)
-        vals.append(c - 63)
-    nb = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if vals[k // 6] >> (5 - k % 6) & 1:
-                nb[i] |= 1 << j
-                nb[j] |= 1 << i
-            k += 1
-    if ngroups and vals[-1] & ((1 << (6 * ngroups - nbits)) - 1):
+    raw = s[pos:].encode("ascii", "ignore")
+    if len(raw) < ngroups or raw.translate(None, _GRAPH6_CHARS):
+        i = next(i for i in range(pos, len(s)) if not 63 <= ord(s[i]) <= 126)
+        raise ParseError(f"invalid graph6 byte {s[i]!r}", offset=i)
+    data = binascii.a2b_base64(raw.translate(_FROM_GRAPH6) + b"A" * (-ngroups % 4))
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    if "1" in bits[nbits:6 * ngroups]:
         raise ParseError("nonzero padding bits", offset=pos + ngroups - 1)
+    nb = [0] * n
+    for j in range(1, n):
+        nb[j] = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in iter_bits(nb[j]):
+            nb[i] |= 1 << j
     return Graph(n, tuple(nb))
 
 
@@ -216,25 +220,19 @@ def emit_graph6(g: Graph) -> str:
     """Encode ``g`` in graph6 (single-byte order for n <= 62, multi-byte above)."""
     n = g.n
     if n <= 62:
-        out = [chr(63 + n)]
+        head = chr(63 + n)
     elif n <= 258047:
-        out = ["~", chr(63 + (n >> 12 & 63)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
+        head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
     else:
-        out = ["~", "~"] + [chr(63 + (n >> (6 * i) & 63)) for i in range(5, -1, -1)]
-    cur = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.neighbors[j]
-        for i in range(j):
-            cur = cur << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + cur))
-                cur = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (cur << (6 - filled))))
-    return "".join(out)
+        head = "~~" + "".join(chr(63 + (n >> (6 * i) & 63)) for i in range(5, -1, -1))
+    # Column j, the pairs (i, j) for ascending i < j, is the low j bits of
+    # N(j), lowest first; the payload is padded to whole base64 quanta.
+    bits = "".join(format(g.neighbors[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j in range(1, n))
+    ngroups = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return head + binascii.b2a_base64(data)[:ngroups].translate(_TO_GRAPH6).decode()
 
 
 def graph_key(g: Graph) -> str:

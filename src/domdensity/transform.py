@@ -29,6 +29,7 @@ from .graphs import (
     attach_leaves,
     bit_list,
     cartesian_product,
+    check_order,
     graph_key,
     max_degree,
 )
@@ -200,16 +201,10 @@ class TransformTrace(NamedTuple):
     policy: str = "reuse-targets"
 
 
-def _round_bound(lhs0: Fraction, rhs0: Fraction, slope_gap: Fraction) -> int:
-    if lhs0 >= rhs0:
-        return 0
-    return ceil((rhs0 - lhs0) / slope_gap) + 1
-
-
 def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
-                   max_rounds: int, cache: GammaCache | None = None) -> TransformTrace:
+                   cache: GammaCache | None = None) -> TransformTrace:
     """Attach one leaf per escalation vertex per round until the one-sided
-    imbalance criterion fires (or max_rounds is hit).
+    imbalance criterion fires.
 
     ``hyp`` is ``evaluate_hypothesis`` of ``bg`` against the partner density
     rho(H), which is read from it; its gamma is the round-0 domination
@@ -219,9 +214,12 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
     the |A| <= |B| normalisation would relabel the sides.  The domination
     number is recomputed for every grown graph and must stay at its round-0
     value.
+
+    Each round the left side grows by m*/|X| and the right by at most
+    rho(H), so the criterion fires by round ``max(round_bound - 1, 0)``;
+    passing it is a finding, and that round's graph is held to the vertex
+    cap before any round is solved.
     """
-    if max_rounds < 1:
-        raise PreconditionError("need max_rounds >= 1")
     if h_delta < 0:
         raise PreconditionError("negative partner degree")
     r = hyp.rho_h
@@ -241,12 +239,15 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
     gamma0 = hyp.gamma
     lhs0 = Fraction(g.n, x_size)
     rhs0 = (max_degree(g) + h_delta + 1) * r
-    bound = _round_bound(lhs0, rhs0, Fraction(m, x_size) - r)
+    gap = Fraction(m, x_size) - r
+    bound = 0 if lhs0 >= rhs0 else ceil((rhs0 - lhs0) / gap) + 1
+    last = max(bound - 1, 0)
+    check_order(g.n + m * last, f"the round-{last} graph's order")
 
     rounds: list[dict] = []
-    final = None
-    satisfied = False
-    for t in range(max_rounds + 1):
+    for t in range(last + 1):
+        if t:
+            g = attach_leaves(g, targets)
         delta = max_degree(g)
         lhs = Fraction(g.n, x_size)
         rhs = (delta + h_delta + 1) * r
@@ -270,12 +271,11 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
             **{f"criterion_{k}": v for k, v in verdict.to_json().items()},
         })
         if verdict.satisfied:
-            final = t
-            satisfied = True
             break
-        if t == max_rounds:
-            break
-        g = attach_leaves(g, targets)
+    else:
+        raise FindingError(
+            "the imbalance criterion did not fire within the round bound",
+            record={"round": last, "round_bound": bound})
 
     return TransformTrace(
         hypothesis_met=True,
@@ -284,8 +284,8 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
         side_x=hyp.side,
         m_star=m,
         targets=target_list,
-        final_round=final,
-        satisfied=satisfied,
+        final_round=t,
+        satisfied=True,
         round_bound=bound,
         rounds=tuple(rounds),
     )

@@ -237,10 +237,13 @@ def test_criterion_11_transform_engine(cache):
                 continue
             report = constructive_inequality_check(bg, h, gamma_h, hyp, cache)
             assert report.applicable and report.holds
-            trace = iterate_leaves(bg, max_degree(h), hyp,
-                                   max_rounds=64, cache=cache)
+            trace = iterate_leaves(bg, max_degree(h), hyp, cache=cache)
             assert trace.satisfied
-            assert trace.final_round <= trace.round_bound
+            last = max(trace.round_bound - 1, 0)
+            if max(g.degree(v) for v in trace.targets) == max_degree(g):
+                assert trace.final_round == last
+            else:
+                assert trace.final_round <= last
             base = trace.rounds[0]["gamma"]
             assert all(r["gamma"] == base for r in trace.rounds)
             verified += 1

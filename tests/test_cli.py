@@ -459,9 +459,8 @@ class TestTransform:
 
     # Refused before any input or cache is read: nothing is solved or logged.
     @pytest.mark.parametrize("flags, error", [
-        (["--h", "@c4", "--max-rounds", "0"], "--max-rounds must be at least 1, not 0"),
         (["--rho-h", "1/2", "--delta-h", "-1"], "--delta-h must be at least 0, not -1"),
-    ], ids=["max-rounds", "delta-h"])
+    ], ids=["delta-h"])
     def test_out_of_range_flag_refused_before_any_solve(self, tmp_path, c4_file,
                                                         capsys, flags, error):
         cache = tmp_path / "F"
@@ -470,6 +469,33 @@ class TestTransform:
         out, err = capsys.readouterr()
         assert out == "" and err == f"input error: {error}\n"
         assert not cache.exists()
+
+    # The trace runs to the slope bound, round 4847, whose graph would have
+    # 4 + 1 * 4847 vertices: refused before any grown graph is built.
+    def test_last_round_above_the_vertex_cap_exit_3(self, tmp_path, c4_file, capsys):
+        cache = tmp_path / "F"
+        started = time.perf_counter()
+        assert main(["transform", c4_file, "--rho-h", "49/100", "--delta-h", "100",
+                     "--format", "json", "--cache", str(cache)]) == EXIT_CAPACITY
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("capacity: the round-4847 graph's order 4851 exceeds the"
+                       f" {MAX_VERTICES}-vertex cap\n")
+        assert [line.split()[0] for line in cache.read_text().splitlines()] == ["Cl"]
+
+    # The slope bound is checked, not assumed: a trace whose graph stops
+    # growing is a finding that names the bound.
+    def test_criterion_unfired_at_the_round_bound_exit_4(self, c4_file, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(transform, "attach_leaves", lambda g, targets: g)
+        assert main(["transform", c4_file, "--rho-h", "1/2", "--delta-h", "2",
+                     "--format", "json"]) == EXIT_FINDING
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("FINDING: the imbalance criterion did not fire within the"
+                       " round bound\n"
+                       '{"round": 1, "round_bound": 2}\n')
 
     # A density gamma / n lies in (0, 1]; "=-1/2" is passed as --rho-h=-1/2.
     @pytest.mark.parametrize("rho_h", ["abc", "1/0", "0", "2", "3/2", "=-1/2"])
@@ -676,6 +702,7 @@ def test_stdout_is_the_same_cold_and_warm(tmp_path, c4_file, c5_file, rank6_file
     ["gamma", "@c4", "--max-vertices", "1"],
     ["check-vizing", "@c4", "@c4", "--max-vertices", "4096"],
     ["transform", "@c4", "--h", "@c4", "--max-vertices", "4096"],
+    ["transform", "@c4", "--h", "@c4", "--max-rounds", "64"],
     ["scan", "4", "2", "--max-vertices", "9"],
     ["scan", "8", "6", "--allow-large"],
     ["scan", "4", "2", "--input-format", "graph6"],

@@ -31,7 +31,7 @@ def test_report_records_are_immutable():
     bg = bipartition(c4)
     hyp = evaluate_hypothesis(bg, Fraction(1, 2))
     constructive = constructive_inequality_check(bg, c4, 2, hyp)
-    trace = iterate_leaves(bg, 2, hyp, max_rounds=4)
+    trace = iterate_leaves(bg, 2, hyp)
     records = [
         (check_vizing(c4, c4), "holds"),
         (min_threshold_order(3), "n_min"),

@@ -51,9 +51,10 @@ def test_every_import_is_used(module):
 
 
 # Each is slow to import and answers nothing a command prints: dataclasses
-# (with inspect behind it) and hashlib's OpenSSL binding, which graph_key
-# loads only for a graph with more than 62 vertices.
-STARTUP_FREE = {"dataclasses", "inspect", "hashlib"}
+# (with inspect behind it), hashlib's OpenSSL binding, which graph_key
+# loads only for a graph with more than 62 vertices, and base64: the graph6
+# codec calls binascii, which the interpreter loads at start-up.
+STARTUP_FREE = {"dataclasses", "inspect", "hashlib", "base64"}
 
 
 def _modules_after(statement: str) -> set[str]:

@@ -23,6 +23,7 @@ from domdensity import (
     is_dominating,
     iterate_leaves,
     m_star,
+    max_degree,
     path_graph,
     star,
 )
@@ -85,7 +86,7 @@ class TestHypothesis:
         bg = bipartition(path_graph(17))
         hyp = evaluate_hypothesis(bg, Fraction(2, 5))
         assert hyp.usable and hyp.side == "A" and hyp.m_star == 4
-        trace = iterate_leaves(bg, 2, hyp, max_rounds=4)
+        trace = iterate_leaves(bg, 2, hyp)
         assert trace.satisfied and trace.final_round == 0
 
     # The documented rule, from gamma_brute and every subset of that size:
@@ -164,21 +165,13 @@ class TestConstructiveInequality:
 class TestIterateLeaves:
     def test_star_already_satisfied(self):
         bg = bipartition(star(3))
-        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 3)),
-                               max_rounds=5)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 3)))
         assert trace.satisfied and trace.final_round == 0
         assert len(trace.rounds) == 1
 
-    def test_already_satisfied_with_single_round_budget(self):
-        bg = bipartition(star(3))
-        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 3)),
-                               max_rounds=1)
-        assert trace.final_round == 0
-
     def test_c4_multi_round_slopes(self):
         bg = bipartition(cycle_graph(4))
-        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
-                               max_rounds=10)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)))
         assert trace.satisfied and trace.final_round == 1
         assert trace.m_star == 2 and trace.round_bound == 2
         lhs = [Fraction(r["criterion_lhs"]) for r in trace.rounds]
@@ -190,31 +183,31 @@ class TestIterateLeaves:
 
     def test_balanced_k33_out_of_hypothesis(self):
         bg = bipartition(complete_bipartite(3, 3))
-        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1)),
-                               max_rounds=3)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1)))
         assert not trace.gate_met
         assert not trace.satisfied and trace.rounds == ()
 
     def test_side_b_growth_strictly_widens_gap(self):
         bg = bipartition(cycle_graph(4))
-        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
-                               max_rounds=10)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)))
         diffs = [r["size_b"] - r["size_a"] for r in trace.rounds]
         assert diffs == sorted(diffs) and len(set(diffs)) == len(diffs)
 
     def test_trace_serializes(self):
         bg = bipartition(cycle_graph(4))
-        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
-                               max_rounds=4)
+        trace = iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)))
         payload = trace._asdict()
         assert payload["satisfied"] is True
         assert payload["rounds"][0]["criterion_name"] == "imbalance-arbitrary"
 
-    def test_rejects_zero_round_budget(self):
+    # C4 at rho = 49/100 gains m*/|X| - rho = 1/100 a round on a gap of 96/50;
+    # a target has maximum degree, so the slope bound is met exactly.
+    def test_runs_to_the_slope_bound_past_64_rounds(self):
         bg = bipartition(cycle_graph(4))
-        with pytest.raises(PreconditionError):
-            iterate_leaves(bg, 2, evaluate_hypothesis(bg, Fraction(1, 2)),
-                           max_rounds=0)
+        trace = iterate_leaves(bg, 5, evaluate_hypothesis(bg, Fraction(49, 100)))
+        assert trace.satisfied and trace.round_bound == 193
+        assert trace.final_round == 192 and len(trace.rounds) == 193
+        assert not any(r["criterion_satisfied"] for r in trace.rounds[:-1])
 
 
 class TestProofAccounting:
@@ -241,7 +234,7 @@ class TestProofAccounting:
         bg = bipartition(cycle_graph(4))
         h = cycle_graph(4)
         hyp = partner_terms(bg, h)[1]
-        trace = iterate_leaves(bg, 2, hyp, max_rounds=10)
+        trace = iterate_leaves(bg, 2, hyp)
         assert trace.satisfied
         g = bg.graph
         for _ in range(trace.final_round):
@@ -262,9 +255,14 @@ class TestProofAccounting:
                 hyp = partner_terms(bg, h)[1]
                 if not hyp.usable:
                     continue
-                from domdensity import max_degree
-                trace = iterate_leaves(bg, max_degree(h), hyp, max_rounds=64)
+                trace = iterate_leaves(bg, max_degree(h), hyp)
                 assert trace.satisfied
-                assert trace.final_round <= trace.round_bound
+                # The slope bound is exact when a target has maximum degree:
+                # the right side then grows by exactly rho(H) a round.
+                last = max(trace.round_bound - 1, 0)
+                if max(g.degree(v) for v in trace.targets) == max_degree(g):
+                    assert trace.final_round == last
+                else:
+                    assert trace.final_round <= last
                 checked += 1
         assert checked >= 20
