@@ -33,7 +33,6 @@ from .enumeration import (
     class_record,
     enumerate_kreg,
     is_unique_form,
-    parse_biadjacency,
     to_graph,
     unique_form_matrix,
 )
@@ -56,7 +55,6 @@ from .graphs import (
     graph_key,
     is_connected,
     max_degree,
-    parse_edge_list,
     parse_graph6,
     path_graph,
     star,

@@ -27,13 +27,13 @@ from .density import density_vizing_check
 from .domination import GammaCache, check_vizing, gamma_exact, gamma_value
 from .enumeration import (
     SCAN_RECORD_FIELDS,
+    BiadjacencyMatrix,
     # Unused here: bench/test_bench.py::test_traced_generator_and_rebinding
     # checks that the tracer rebinds it in this namespace.
     canonical_key,  # noqa: F401
     class_record,
     encode_key,
     enumerate_kreg,
-    parse_biadjacency,
     record_findings,
     to_graph,
 )
@@ -42,9 +42,10 @@ from .graphs import (
     Graph,
     bipartition,
     bit_list,
+    check_order,
+    from_edges,
     is_connected,
     max_degree,
-    parse_edge_list,
     parse_graph6,
 )
 from .transform import (
@@ -64,20 +65,44 @@ EXIT_FINDING = 4
 # ---------------------------------------------------------------------------
 
 def load_graph_text(text: str) -> Graph:
-    """A graph in the format its content shows: rows of 0/1 (a biadjacency
-    matrix), two fields on the first line (an edge list), or else graph6,
-    which is one line: a second content line is an input error."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    content = [ln for ln in lines if ln]
-    if not content:
+    """A graph in the format its content shows, once '#' comments and blank
+    lines are dropped: rows of 0/1 (a biadjacency matrix), two fields on the
+    first line (an edge list of 0-indexed "u v" pairs), or else graph6,
+    which is one line.  Errors name the line number in the text."""
+    numbered = [(i, line) for i, raw in enumerate(text.splitlines(), 1)
+                if (line := raw.split("#", 1)[0].strip())]
+    lines = [line for _, line in numbered]
+    if not lines:
         raise ParseError("the input holds no graph")
-    if all(set(ln) <= {"0", "1"} for ln in content):
-        return to_graph(parse_biadjacency(text)).graph
-    if len(content[0].split()) == 2:
-        return parse_edge_list(text)
-    g = parse_graph6(content[0])
-    if len(content) > 1:
-        lineno = [i for i, ln in enumerate(lines, 1) if ln][1]
+    if all(set(line) <= {"0", "1"} for line in lines):
+        n = len(lines[0])
+        if any(len(line) != n for line in lines) or len(lines) != n:
+            raise ParseError(f"matrix is not square ({len(lines)} rows, width {n})")
+        check_order(2 * n)
+        # Character j of a row is column j, bit j of its mask.
+        rows = tuple(int(line[::-1], 2) for line in lines)
+        return to_graph(BiadjacencyMatrix(n, rows[0].bit_count(), rows)).graph
+    if len(lines[0].split()) == 2:
+        edges = []
+        for lineno, line in numbered:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'u v'", offset=lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer vertex", offset=lineno) from None
+            if u < 0 or v < 0:
+                raise ParseError(f"line {lineno}: negative vertex index", offset=lineno)
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop {u}-{v}", offset=lineno)
+            edges.append((u, v))
+        n = max(map(max, edges)) + 1
+        check_order(n)
+        return from_edges(n, edges)
+    g = parse_graph6(lines[0])
+    if len(lines) > 1:
+        lineno = numbered[1][0]
         raise ParseError(f"line {lineno}: a second graph; graph6 input holds one",
                          offset=lineno)
     return g
@@ -85,7 +110,7 @@ def load_graph_text(text: str) -> Graph:
 
 def _load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     try:
@@ -127,8 +152,6 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
         writer = csv.DictWriter(out, fieldnames=columns, restval="")
         writer.writeheader()
         writer.writerows(flat)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +377,13 @@ def cmd_transform(args) -> int:
         if not 0 < rho_h <= 1:
             raise ParseError(f"--rho-h must lie in (0, 1], not {args.rho_h}")
     hyp = evaluate_hypothesis(bg, rho_h, cache)
-    record = {}
+    # The trace refuses a last round above the vertex cap before anything is
+    # solved, so it runs before the product solve of the constructive check.
+    t = iterate_leaves(bg, delta_h, hyp, cache)._asdict()
+    record = {"trace": t}
     if args.h:
         record["constructive"] = constructive_inequality_check(
             bg, h, gamma_h, hyp, cache)._asdict()
-    t = iterate_leaves(bg, delta_h, hyp, cache)._asdict()
-    record["trace"] = t
     if args.format == "text":
         if not t["hypothesis_met"]:
             print("hypothesis not met: no minimum dominating set yields a"

@@ -30,8 +30,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .criteria import conjectured_kreg_bound, kreg_order_bound
 from .domination import gamma_value
-from .errors import CapacityError, ParseError, PreconditionError
-from .graphs import BipartiteGraph, Graph, check_order, is_connected
+from .errors import CapacityError, PreconditionError
+from .graphs import BipartiteGraph, Graph, is_connected
 from .rankcheck import obstruction_report
 
 SCAN_CAP = 8
@@ -84,27 +84,6 @@ class BiadjacencyMatrix(_MatrixFields):
             "".join(str(self.entry(i, j)) for j in range(self.n))
             for i in range(self.n)
         )
-
-
-def parse_biadjacency(text: str) -> BiadjacencyMatrix:
-    """n lines of n characters from {0,1}; blanks and '#' comments ignored."""
-    rows01 = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if set(line) - {"0", "1"}:
-            raise ParseError(f"line {lineno}: characters other than 0/1", offset=lineno)
-        rows01.append(line)
-    if not rows01:
-        raise ParseError("empty biadjacency input")
-    n = len(rows01[0])
-    if any(len(r) != n for r in rows01) or len(rows01) != n:
-        raise ParseError(f"matrix is not square ({len(rows01)} rows, width {n})")
-    check_order(2 * n)
-    rows = tuple(sum((int(c) << j) for j, c in enumerate(r)) for r in rows01)
-    k = rows[0].bit_count()
-    return BiadjacencyMatrix(n, k, rows)
 
 
 def unique_form_matrix(n: int) -> BiadjacencyMatrix:

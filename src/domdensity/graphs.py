@@ -3,7 +3,9 @@
 Vertices are 0..n-1 and every neighbourhood is a Python int used as a
 bitset, so the set algebra in the solver and the exhaustive scans is plain
 integer arithmetic (or, and, popcount).  Graphs are immutable after
-construction and safe to share across workers.
+construction.  graph6 is the one text codec here: ``emit_graph6`` and
+``graph_key`` pair with ``parse_graph6``; ``cli.load_graph_text`` reads
+graph files.
 """
 
 from __future__ import annotations
@@ -246,36 +248,6 @@ def graph_key(g: Graph) -> str:
         return g6
     import hashlib  # only here: its OpenSSL binding is slow to load
     return "sha256:" + hashlib.sha256(g6.encode("ascii")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# edge-list text format: one "u v" pair per line, 0-indexed, '#' comments
-# ---------------------------------------------------------------------------
-
-def parse_edge_list(text: str) -> Graph:
-    edges = []
-    top = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v'", offset=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex", offset=lineno) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex index", offset=lineno)
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop {u}-{v}", offset=lineno)
-        edges.append((u, v))
-        top = max(top, u, v)
-    if not edges:
-        raise ParseError("no edges in edge-list input")
-    check_order(top + 1)
-    return from_edges(top + 1, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import domdensity
 from domdensity import (
     MAX_VERTICES,
+    CapacityError,
+    ParseError,
     cli,
     emit_graph6,
     enumeration,
@@ -59,6 +66,41 @@ def c5_file(tmp_path):
     return str(path)
 
 
+# Every refusal the reader gives, with its exception type and message; a
+# line-oriented format names the line, graph6 the offset in its line.
+# BiadjacencyMatrix refuses a matrix whose rows and columns do not all
+# sum to row 0's count.
+REFUSALS = [
+    ("# nothing\n\n", ParseError, "the input holds no graph"),
+    ("01\n10\n01\n", ParseError, "matrix is not square (3 rows, width 2)"),
+    ("011\n101\n", ParseError, "matrix is not square (2 rows, width 3)"),
+    ("".join("0" * i + "1" + "0" * (2048 - i) + "\n" for i in range(2049)),
+     CapacityError, f"graph order 4098 exceeds the {MAX_VERTICES}-vertex cap"),
+    ("0\n", ValueError, "need 1 <= k <= n"),
+    ("10\n00\n", ValueError, "row 1 sums to 0, expected 1"),
+    ("10\n10\n", ValueError, "column 0 sums to 2, expected 1"),
+    ("0 1\n\n0 1 2\n", ParseError, "line 3: expected 'u v' (at offset 3)"),
+    ("0 1\n1 x\n", ParseError, "line 2: non-integer vertex (at offset 2)"),
+    ("0 1\n-1 2\n", ParseError, "line 2: negative vertex index (at offset 2)"),
+    ("# loop\n2 2\n", ParseError, "line 2: self-loop 2-2 (at offset 2)"),
+    ("0 1\n1 4096\n", CapacityError,
+     f"graph order 4097 exceeds the {MAX_VERTICES}-vertex cap"),
+    (">>graph6<<\n", ParseError, "empty graph6 input (at offset 10)"),
+    ("A\u00c8\n", ParseError, "invalid graph6 byte '\u00c8' (at offset 1)"),
+    ("~?\n", ParseError, "truncated multi-byte order field (at offset 2)"),
+    ("~??A\n", ParseError, "non-minimal multi-byte order encoding (at offset 0)"),
+    ("?\n", ParseError, "zero-vertex graphs are not supported (at offset 0)"),
+    ("D?\n", ParseError, "truncated adjacency payload (at offset 2)"),
+    ("A_?\n", ParseError, "trailing data after graph6 payload (at offset 2)"),
+    ("A`\n", ParseError, "nonzero padding bits (at offset 1)"),
+    ("~@?@\n", CapacityError, f"graph order 4097 exceeds the {MAX_VERTICES}-vertex cap"),
+    ("Cl\n# c\nBw\n", ParseError,
+     "line 3: a second graph; graph6 input holds one (at offset 3)"),
+    # A parse error in the first line comes before the second-line refusal.
+    ("A_x\nBw\n", ParseError, "trailing data after graph6 payload (at offset 2)"),
+]
+
+
 class TestInputDetection:
     def test_autodetects_each_format(self, rank6_matrix):
         assert load_graph_text("0 1\n1 2\n").n == 3
@@ -69,6 +111,36 @@ class TestInputDetection:
         c4 = load_graph_text("Cl\n")
         assert load_graph_text("# C4\nCl\n") == c4
         assert load_graph_text("\n  Cl\n") == c4
+
+    def test_crlf_line_ends_read_as_lf(self):
+        for text in ("0 1\n1 2\n# c\n", "01\n10\n", "# c\nCl\n"):
+            assert load_graph_text(text.replace("\n", "\r\n")) == load_graph_text(text)
+
+    @pytest.mark.parametrize("text, error, message", REFUSALS,
+                             ids=[m for _, _, m in REFUSALS])
+    def test_each_refusal_is_pinned(self, text, error, message):
+        with pytest.raises(error) as exc:
+            load_graph_text(text)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    # Graph files are UTF-8 whatever the locale: under the C locale without
+    # UTF-8 mode, a non-ASCII comment is still read.
+    def test_graph_file_is_read_as_utf8_in_the_c_locale(self, tmp_path):
+        path = tmp_path / "c4.el"
+        path.write_bytes("# C\u2084\n0 1\n1 2\n2 3\n3 0\n".encode("utf-8"))
+        proc = _run_cli(["gamma", str(path)], LC_ALL="C", PYTHONUTF8="0",
+                        PYTHONCOERCECLOCALE="0")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.startswith("gamma = 2\n")
+
+
+def _run_cli(argv, timeout=60, **env):
+    """Run the command line in a fresh interpreter with extra environment."""
+    src = str(Path(domdensity.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "domdensity.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, **env, "PYTHONPATH": path})
 
 
 class TestGamma:
@@ -483,6 +555,18 @@ class TestTransform:
         assert err == ("capacity: the round-4847 graph's order 4851 exceeds the"
                        f" {MAX_VERTICES}-vertex cap\n")
         assert [line.split()[0] for line in cache.read_text().splitlines()] == ["Cl"]
+
+    # With --h the same refusal comes before the product is solved.  H is
+    # K1,50 with a pendant leaf on each spoke (101 vertices, rho(H) = 50/101,
+    # Delta(H) = 50), so the 404-vertex product is never solved.
+    def test_partner_trace_above_the_vertex_cap_exit_3(self, tmp_path, c4_file):
+        spider = tmp_path / "spider.el"
+        spider.write_text("".join(f"0 {i}\n{i} {i + 50}\n" for i in range(1, 51)))
+        proc = _run_cli(["transform", c4_file, "--h", str(spider), "--format", "json"],
+                        timeout=10)
+        assert (proc.returncode, proc.stdout) == (EXIT_CAPACITY, "")
+        assert proc.stderr == ("capacity: the round-4896 graph's order 4900 exceeds"
+                               f" the {MAX_VERTICES}-vertex cap\n")
 
     # The slope bound is checked, not assumed: a trace whose graph stops
     # growing is a finding that names the bound.

@@ -20,10 +20,10 @@ from domdensity import (
     gamma_value,
     is_unique_form,
     obstruction_report,
-    parse_biadjacency,
     to_graph,
     unique_form_matrix,
 )
+from domdensity.cli import load_graph_text
 from domdensity.enumeration import (
     SCAN_RECORD_FIELDS,
     Finding,
@@ -195,16 +195,17 @@ class TestMatrixType:
 
     def test_parse_round_trip(self, rank6_matrix):
         text = rank6_matrix.to_text()
-        assert parse_biadjacency(text) == rank6_matrix
-        assert parse_biadjacency("# comment\n\n" + text) == rank6_matrix
+        assert load_graph_text(text) == to_graph(rank6_matrix).graph
+        assert load_graph_text("# comment\n\n" + text) == to_graph(rank6_matrix).graph
 
+    # A line that is not all 0/1 makes the text graph6, not a matrix.
     def test_parse_rejects_bad_characters(self):
-        with pytest.raises(ParseError):
-            parse_biadjacency("01\n0x\n")
+        with pytest.raises(ParseError, match=r"^invalid graph6 byte '0' \(at offset 0\)$"):
+            load_graph_text("01\n0x\n")
 
     def test_parse_rejects_non_square(self):
         with pytest.raises(ParseError):
-            parse_biadjacency("01\n10\n01\n")
+            load_graph_text("01\n10\n01\n")
 
     def test_unique_form_matrix_shape(self):
         m = unique_form_matrix(6)

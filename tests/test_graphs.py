@@ -24,12 +24,12 @@ from domdensity import (
     graph_key,
     is_connected,
     max_degree,
-    parse_edge_list,
     parse_graph6,
     path_graph,
     star,
 )
 from domdensity.catalog import all_graphs
+from domdensity.cli import load_graph_text
 from conftest import RANK6_ROWS, random_graph
 
 
@@ -250,23 +250,23 @@ class TestGraph6:
 
 class TestEdgeList:
     def test_parse_with_comments(self):
-        g = parse_edge_list("# triangle plus tail\n0 1\n1 2\n2 0\n2 3 # tail\n")
+        g = load_graph_text("# triangle plus tail\n0 1\n1 2\n2 0\n2 3 # tail\n")
         assert g.n == 4 and g.edge_count() == 4
 
     def test_rejects_self_loop(self):
         with pytest.raises(ParseError):
-            parse_edge_list("0 0\n")
+            load_graph_text("0 0\n")
 
     def test_rejects_malformed_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_edge_list("0 1\n0 1 2\n")
+            load_graph_text("0 1\n0 1 2\n")
 
     def test_rejects_empty(self):
-        with pytest.raises(ParseError):
-            parse_edge_list("# nothing\n")
+        with pytest.raises(ParseError, match="^the input holds no graph$"):
+            load_graph_text("# nothing\n")
 
     def test_duplicate_edges_collapse(self):
-        g = parse_edge_list("0 1\n1 0\n")
+        g = load_graph_text("0 1\n1 0\n")
         assert g.edge_count() == 1
 
 

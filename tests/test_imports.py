@@ -1,9 +1,12 @@
-"""Every module-level import in ``src/domdensity`` is named by its module,
-and importing the command line loads no module that only slows start-up.
+"""Every module-level import and private name in ``src/domdensity`` is
+named by its module, and importing the command line loads no module that
+only slows start-up.
 
-No linter ships with the toolchain, so this is the unused-import check:
-each module is parsed with ``ast`` and every name a top-level import binds
-must appear as a name somewhere in the module.
+No linter ships with the toolchain, so these are the dead-name checks:
+each module is parsed with ``ast``; every name a top-level import binds
+must appear as a name somewhere in the module, and every private (``_x``)
+function, class or constant defined at top level must be read somewhere
+in it.
 """
 
 import ast
@@ -48,6 +51,32 @@ def test_every_import_is_used(module):
               for name, line in _module_imports(tree)
               if name not in named and (module, name) not in ALLOWED_UNUSED]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _module_private_names(tree: ast.Module):
+    """(name, line) for each top-level def, class or assignment of a name
+    that starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_every_private_name_is_read(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    dead = [f"{module}:{line}: {name}"
+            for name, line in _module_private_names(tree) if name not in read]
+    assert not dead, "private names never read: " + ", ".join(dead)
 
 
 # Each is slow to import and answers nothing a command prints: dataclasses
