@@ -110,7 +110,7 @@ def load_graph_text(text: str) -> Graph:
 
 def _load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     try:

@@ -82,20 +82,19 @@ def imbalance_criterion(bg_g: BipartiteGraph, bg_h: BipartiteGraph) -> Criterion
     return _verdict("imbalance", lhs, rhs, _hypothesis_note(bg_g.graph, bg_h.graph))
 
 
-def imbalance_vs_arbitrary(bg_g: BipartiteGraph, delta_h: int,
-                           rho_h: Fraction) -> CriterionVerdict:
-    """(|A_G| + |B_G|) / |A_G| >= (max degree sum + 1) * rho_H.
+def imbalance_vs_arbitrary(order: int, side: int, delta_g: int, delta_h: int,
+                           rho_h: Fraction, note: str = "") -> CriterionVerdict:
+    """|V(G)| / |X| >= (Delta_G + Delta_H + 1) * rho_H.
 
-    One-sided variant: only G needs to be bipartite, H enters through its
-    maximum degree and exact density.
+    One-sided variant: only G needs to be bipartite, with ``side`` the size
+    of its side X; H enters through its maximum degree and exact density.
     """
-    if bg_g.size_a == 0:
-        raise PreconditionError("degenerate bipartition with empty side A")
+    if side < 1:
+        raise PreconditionError("degenerate bipartition with empty side X")
     if delta_h < 0:
         raise PreconditionError("negative maximum degree")
-    lhs = Fraction(bg_g.size_a + bg_g.size_b, bg_g.size_a)
-    rhs = (max_degree(bg_g.graph) + delta_h + 1) * rho_h
-    return _verdict("imbalance-arbitrary", lhs, rhs, _hypothesis_note(bg_g.graph))
+    return _verdict("imbalance-arbitrary", Fraction(order, side),
+                    (delta_g + delta_h + 1) * rho_h, note)
 
 
 def conjectured_kreg_bound(n: int, k: int) -> int:

@@ -224,52 +224,58 @@ class _Search:
         return chosen
 
 
-def _lookup(g: Graph, cache: "GammaCache | None") -> tuple[str | None, int | None]:
-    """The cache key of ``g`` and its cached witness, checked to dominate.
-
-    Both are None without a cache; the witness is None on a miss.
-    """
-    if cache is None:
-        return None, None
-    key = graph_key(g)
-    witness = cache.get(key)
-    # is_dominating raises PreconditionError, a ValueError, on a vertex
-    # outside the graph.
-    if witness is not None and not is_dominating(g, witness):
-        raise ValueError(f"cached witness mask {witness:x} does not dominate this"
-                         " graph (a wrong gamma cache entry?)")
-    return key, witness
+def _exact(g: Graph, cache: "GammaCache | None") -> int:
+    """``gamma_exact``'s witness mask: the cached one, checked, or else a
+    solve of both passes, which a cache logs."""
+    if cache is not None:
+        key = graph_key(g)
+        witness = cache.get(key)
+        if witness is not None:
+            # is_dominating raises PreconditionError, a ValueError, on a
+            # vertex outside the graph.
+            if not is_dominating(g, witness):
+                raise ValueError(f"cached witness mask {witness:x} does not dominate"
+                                 " this graph (a wrong gamma cache entry?)")
+            # A vertex can be dropped iff every vertex of its closed
+            # neighbourhood has two dominators in the mask.
+            closed = closed_neighborhoods(g)
+            once = twice = 0
+            for v in bit_list(witness):
+                twice |= once & closed[v]
+                once |= closed[v]
+            drop = [v for v in bit_list(witness) if not closed[v] & ~twice]
+            if drop:
+                raise ValueError(f"cached witness mask {witness:x} is not minimal: vertex"
+                                 f" {drop[0]} can be dropped (a wrong gamma cache entry?)")
+            return witness
+    search = _Search(g)
+    witness = search.lexmin_witness(search.minimum_size(search.greedy_cover()))
+    if cache is not None:
+        cache.put(key, witness)
+    return witness
 
 
 def gamma_value(g: Graph, cache: "GammaCache | None" = None) -> int:
     """The domination number alone (cheaper than gamma_exact in scans).
 
-    A cache hit is the size of the cached witness.  A miss runs the value
-    pass; with a cache it also runs the witness pass, so that every logged
-    entry carries its witness.
+    Without a cache only the value pass runs; with one, the value is the
+    size of ``gamma_exact``'s witness, so that every logged entry carries
+    its witness.
     """
-    key, witness = _lookup(g, cache)
-    if witness is not None:
-        return witness.bit_count()
-    search = _Search(g)
-    value = search.minimum_size(search.greedy_cover())
     if cache is not None:
-        cache.put(key, search.lexmin_witness(value))
-    return value
+        return _exact(g, cache).bit_count()
+    search = _Search(g)
+    return search.minimum_size(search.greedy_cover())
 
 
 def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, int]:
     """Domination number together with the deterministic lex-min witness mask.
 
-    A cached witness is checked with ``is_dominating`` and returned without a
-    search; a miss runs the value pass and then the witness pass.
+    A cached witness is used without a search once it is checked to be a
+    minimal dominating set; a miss runs the value pass and then the witness
+    pass.
     """
-    key, witness = _lookup(g, cache)
-    if witness is None:
-        search = _Search(g)
-        witness = search.lexmin_witness(search.minimum_size(search.greedy_cover()))
-        if cache is not None:
-            cache.put(key, witness)
+    witness = _exact(g, cache)
     return witness.bit_count(), witness
 
 

@@ -228,17 +228,15 @@ def enumerate_kreg(n: int, k: int) -> Iterator[BiadjacencyMatrix]:
                 yield matrix
             return
         remaining = n - len(rows) - 1
+        # A row may not enter a column already at k, and must enter every
+        # column that the remaining rows could no longer fill.
+        full = needy = 0
+        for j in range(n):
+            full |= (counts[j] == k) << j
+            needy |= (k - counts[j] > remaining) << j
         for idx in range(start, len(candidates)):
             row = candidates[idx]
-            if (row >> 1) & ~row & tied:
-                continue
-            ok = True
-            for j in range(n):
-                c = counts[j] + (row >> j & 1)
-                if c > k or k - c > remaining:
-                    ok = False
-                    break
-            if not ok:
+            if (row >> 1) & ~row & tied or row & full or needy & ~row:
                 continue
             for j in range(n):
                 counts[j] += row >> j & 1

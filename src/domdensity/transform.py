@@ -20,7 +20,7 @@ from itertools import combinations
 from math import ceil, comb, floor
 from typing import NamedTuple
 
-from .criteria import CriterionVerdict
+from .criteria import imbalance_vs_arbitrary
 from .domination import GammaCache, closed_neighborhoods, gamma_value
 from .errors import CapacityError, FindingError, PreconditionError
 from .graphs import (
@@ -147,12 +147,12 @@ class ConstructiveReport(NamedTuple):
     gamma_g: int
     gamma_h: int
     order_h: int
-    gamma_product: int | None
     m_star: int | None
     side: str | None
-    lhs: int | None
     rhs: int
-    holds: bool | None
+    gamma_product: int | None = None
+    lhs: int | None = None
+    holds: bool | None = None
 
 
 def constructive_inequality_check(bg: BipartiteGraph, h: Graph, gamma_h: int,
@@ -169,8 +169,7 @@ def constructive_inequality_check(bg: BipartiteGraph, h: Graph, gamma_h: int,
                  gamma_g=hyp.gamma, gamma_h=gamma_h, order_h=h.n,
                  m_star=hyp.m_star, side=hyp.side, rhs=hyp.gamma * gamma_h)
     if not hyp.usable:
-        return ConstructiveReport(applicable=False, gamma_product=None,
-                                  lhs=None, holds=None, **terms)
+        return ConstructiveReport(applicable=False, **terms)
     gamma_p = gamma_value(cartesian_product(bg.graph, h), cache)
     lhs = gamma_p + hyp.m_star * h.n
     return ConstructiveReport(applicable=True, gamma_product=gamma_p, lhs=lhs,
@@ -191,13 +190,13 @@ class TransformTrace(NamedTuple):
     hypothesis_met: bool
     gate_met: bool
     equality_flagged: bool
-    side_x: str | None
-    m_star: int | None
-    targets: list[int] | None
-    final_round: int | None
-    satisfied: bool
-    round_bound: int | None
-    rounds: tuple[dict, ...]
+    side_x: str | None = None
+    m_star: int | None = None
+    targets: list[int] | None = None
+    final_round: int | None = None
+    satisfied: bool = False
+    round_bound: int | None = None
+    rounds: tuple[dict, ...] = ()
     policy: str = "reuse-targets"
 
 
@@ -224,11 +223,7 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
         raise PreconditionError("negative partner degree")
     r = hyp.rho_h
     if not hyp.usable:
-        return TransformTrace(
-            hypothesis_met=False, gate_met=hyp.gate_met,
-            equality_flagged=hyp.equality_flagged, side_x=None, m_star=None,
-            targets=None, final_round=None, satisfied=False, round_bound=None,
-            rounds=())
+        return TransformTrace(False, hyp.gate_met, hyp.equality_flagged)
 
     x_size = hyp.side_size
     m = hyp.m_star
@@ -237,10 +232,10 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
 
     g = bg.graph
     gamma0 = hyp.gamma
-    lhs0 = Fraction(g.n, x_size)
-    rhs0 = (max_degree(g) + h_delta + 1) * r
+    note = "denominator fixed to the chosen side X"
+    verdict = imbalance_vs_arbitrary(g.n, x_size, max_degree(g), h_delta, r, note)
     gap = Fraction(m, x_size) - r
-    bound = 0 if lhs0 >= rhs0 else ceil((rhs0 - lhs0) / gap) + 1
+    bound = 0 if verdict.satisfied else ceil((verdict.rhs - verdict.lhs) / gap) + 1
     last = max(bound - 1, 0)
     check_order(g.n + m * last, f"the round-{last} graph's order")
 
@@ -248,12 +243,7 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
     for t in range(last + 1):
         if t:
             g = attach_leaves(g, targets)
-        delta = max_degree(g)
-        lhs = Fraction(g.n, x_size)
-        rhs = (delta + h_delta + 1) * r
-        verdict = CriterionVerdict(
-            "imbalance-arbitrary", lhs >= rhs, lhs, rhs, lhs == rhs,
-            note="denominator fixed to the chosen side X")
+            verdict = imbalance_vs_arbitrary(g.n, x_size, max_degree(g), h_delta, r, note)
         gamma_t = gamma_value(g, cache) if t else gamma0
         if gamma_t != gamma0:
             raise FindingError(
@@ -263,7 +253,7 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
         rounds.append({
             "round": t,
             "key": graph_key(g),
-            "delta": delta,
+            "delta": max_degree(g),
             "size_a": min(x_size, opposite),
             "size_b": max(x_size, opposite),
             "gamma": gamma_t,

@@ -66,6 +66,13 @@ def c5_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def k33_file(tmp_path):
+    path = tmp_path / "k33.biadj"
+    path.write_text("111\n111\n111\n")
+    return str(path)
+
+
 # Every refusal the reader gives, with its exception type and message; a
 # line-oriented format names the line, graph6 the offset in its line.
 # BiadjacencyMatrix refuses a matrix whose rows and columns do not all
@@ -132,6 +139,16 @@ class TestInputDetection:
                         PYTHONCOERCECLOCALE="0")
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert proc.stdout.startswith("gamma = 2\n")
+
+    # A UTF-8 byte-order mark at the start of a graph file is skipped.
+    @pytest.mark.parametrize("text, gamma", [
+        ("0 1\n1 2\n", 1), ("Cl\n", 2), ("10\n01\n", 2),
+    ], ids=["edge-list", "graph6", "biadjacency"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, text, gamma):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["gamma", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"gamma = {gamma}\n")
 
 
 def _run_cli(argv, timeout=60, **env):
@@ -766,6 +783,19 @@ def test_bad_cached_witness_is_an_input_error(tmp_path, c5_file, capsys, mask, e
     assert out == "" and err.startswith("input error: ") and error in err
 
 
+def test_non_minimal_cached_witness_is_an_input_error(tmp_path, capsys):
+    # {0, 1} dominates P3, but so does {1} alone; the log stays unchanged.
+    graph = tmp_path / "p3.el"
+    graph.write_text("0 1\n1 2\n")
+    cache = tmp_path / "gamma.cache"
+    cache.write_text("Bg 2 3\n")
+    assert main(["gamma", str(graph), "--cache", str(cache)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "input error: cached witness mask 3 is not"
+                                   " minimal: vertex 0 can be dropped (a wrong gamma"
+                                   " cache entry?)\n")
+    assert cache.read_text() == "Bg 2 3\n"
+
+
 @pytest.mark.parametrize("graph", ["C4", "C5", "RANK6"])
 def test_stdout_is_the_same_cold_and_warm(tmp_path, c4_file, c5_file, rank6_file,
                                           capsys, graph):
@@ -852,6 +882,11 @@ def test_unread_flags_are_refused(request, capsys, argv):
      "59576f6564c28f2b9bf241c2da94b072c42397e560aedd822c33f16874fbbac6"),
     (["transform", "@c4", "--rho-h", "1/2", "--delta-h", "2", "--format", "json"],
      "cfdd61f6244ad953619b4f4338ad51b6820a21fab2d91434b51ced2bbeac24e5"),
+    # out of hypothesis: every minimum dominating set of K3,3 has 1/3 of a side
+    (["transform", "@k33", "--rho-h", "1", "--delta-h", "2", "--format", "text"],
+     "0122cb5f7f79fd7e997cbf2dc32867e63e20f17d4a4047d1e5b555c7ceaf4fd6"),
+    (["transform", "@k33", "--rho-h", "1", "--delta-h", "2", "--format", "json"],
+     "ba4708fdc958a8537cca82c2981f21e6d9b1b30c0fcd6afab87f4836a69e72f5"),
 ])
 def test_command_output_is_pinned(request, capsys, argv, out):
     argv = [request.getfixturevalue(a[1:] + "_file") if a.startswith("@") else a

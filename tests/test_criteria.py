@@ -23,6 +23,7 @@ from domdensity import (
     imbalance_criterion,
     imbalance_vs_arbitrary,
     kreg_order_bound,
+    max_degree,
     min_threshold_order,
     star,
     threshold_condition,
@@ -90,16 +91,14 @@ class TestImbalanceCriterion:
 
 class TestImbalanceVsArbitrary:
     def test_star_against_c6_parameters(self):
-        bg = bipartition(star(9))
-        verdict = imbalance_vs_arbitrary(bg, 2, Fraction(1, 3))
+        verdict = imbalance_vs_arbitrary(10, 1, 9, 2, Fraction(1, 3))
         assert verdict.satisfied
         assert verdict.lhs == 10 and verdict.rhs == 4
         # rho 1/3 and max degree 2 describe C6 exactly; confirm the pair
         assert check_vizing(star(9), cycle_graph(6)).holds
 
     def test_balanced_side_with_unit_density_silent(self):
-        bg = bipartition(complete_bipartite(2, 2))
-        verdict = imbalance_vs_arbitrary(bg, 1, Fraction(1))
+        verdict = imbalance_vs_arbitrary(4, 2, 2, 1, Fraction(1))
         assert not verdict.satisfied
         assert verdict.lhs == 2 and verdict.rhs >= 3
 
@@ -110,9 +109,8 @@ class TestImbalanceVsArbitrary:
             g = random_connected_bipartite(rng, rng.randrange(2, 9))
             h = random_connected_bipartite(rng, rng.randrange(2, 9))
             bg, bh = bipartition(g), bipartition(h)
-            from domdensity import max_degree
             one_sided = imbalance_vs_arbitrary(
-                bg, max_degree(h), Fraction(bh.size_a, h.n))
+                g.n, bg.size_a, max_degree(g), max_degree(h), Fraction(bh.size_a, h.n))
             assert one_sided.satisfied == imbalance_criterion(bg, bh).satisfied
 
 

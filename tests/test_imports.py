@@ -1,12 +1,13 @@
 """Every module-level import and private name in ``src/domdensity`` is
-named by its module, and importing the command line loads no module that
-only slows start-up.
+named by its module, every public name has a reader in ``src``, and
+importing the command line loads no module that only slows start-up.
 
 No linter ships with the toolchain, so these are the dead-name checks:
 each module is parsed with ``ast``; every name a top-level import binds
-must appear as a name somewhere in the module, and every private (``_x``)
+must appear as a name somewhere in the module, every private (``_x``)
 function, class or constant defined at top level must be read somewhere
-in it.
+in it, and every public top-level function, class or method must be read
+somewhere in ``src`` outside its own body unless an allowlist names it.
 """
 
 import ast
@@ -99,3 +100,55 @@ def test_cli_import_adds_no_slow_modules():
     added = _modules_after("import domdensity.cli") - _modules_after("pass")
     assert "domdensity.cli" in added
     assert not added & STARTUP_FREE, sorted(added & STARTUP_FREE)
+
+
+# Public names that no code in src reads, each kept for a stated reason.
+PUBLIC_WITHOUT_SRC_READER = {
+    # the solver's independent oracle
+    "gamma_brute",
+    # test fixtures
+    "empty_graph", "path_graph", "cycle_graph", "complete_graph", "star",
+    "disjoint_union", "Graph.has_edge", "Graph.edge_count",
+    "BiadjacencyMatrix.to_text", "unique_form_matrix",
+    "connected_bipartite_graphs",
+    # acceptance criterion 10 reads it
+    "ObstructionReport.implication_holds",
+    # ROADMAP item 3 gives it a CLI caller
+    "finite_remainder",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, bare name, node) for each public top-level function
+    or class and each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _reads(tree: ast.Module):
+    """(name, node) for each Name or Attribute that loads a value."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node
+
+
+def test_every_public_name_has_a_src_reader():
+    trees = {m: ast.parse((PACKAGE / m).read_text(), filename=m)
+             for m in MODULES + ["__init__.py"]}
+    reads = {m: list(_reads(tree)) for m, tree in trees.items()}
+    unread = []
+    for module in MODULES:
+        for qualified, name, node in _public_definitions(trees[module]):
+            own = set(map(id, ast.walk(node)))
+            if not any(read == name and (m != module or id(at) not in own)
+                       for m, pairs in reads.items() for read, at in pairs):
+                unread.append(qualified)
+    assert sorted(unread) == sorted(PUBLIC_WITHOUT_SRC_READER)
