@@ -355,19 +355,9 @@ def cmd_thresholds(args) -> int:
 def cmd_transform(args) -> int:
     if args.delta_h is not None and args.delta_h < 0:
         raise ParseError(f"--delta-h must be at least 0, not {args.delta_h}")
-    g = _load_graph(args.input)
-    bg = bipartition(g)
-    if bg is None:
-        raise ParseError("transform input must be bipartite")
-    cache = GammaCache(args.cache) if args.cache else None
     if [args.rho_h, args.delta_h].count(None) != (2 if args.h else 0):
         raise ParseError("need either --h FILE or both --rho-h and --delta-h")
-    if args.h:
-        h = _load_graph(args.h)
-        delta_h = max_degree(h)
-        gamma_h = gamma_value(h, cache)
-        rho_h = Fraction(gamma_h, h.n)
-    else:
+    if not args.h:
         delta_h = args.delta_h
         try:
             rho_h = Fraction(args.rho_h)
@@ -376,6 +366,16 @@ def cmd_transform(args) -> int:
         # gamma / n lies in (0, 1] for every graph.
         if not 0 < rho_h <= 1:
             raise ParseError(f"--rho-h must lie in (0, 1], not {args.rho_h}")
+    g = _load_graph(args.input)
+    bg = bipartition(g)
+    if bg is None:
+        raise ParseError("transform input must be bipartite")
+    cache = GammaCache(args.cache) if args.cache else None
+    if args.h:
+        h = _load_graph(args.h)
+        delta_h = max_degree(h)
+        gamma_h = gamma_value(h, cache)
+        rho_h = Fraction(gamma_h, h.n)
     hyp = evaluate_hypothesis(bg, rho_h, cache)
     # The trace refuses a last round above the vertex cap before anything is
     # solved, so it runs before the product solve of the constructive check.

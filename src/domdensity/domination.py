@@ -22,7 +22,8 @@ sets ``goal`` to -1 and ``best`` and ``found`` to the greedy cover, so it
 never stops early and ends with an optimal cover in ``found``.
 
 ``gamma_brute`` is the independent oracle: plain subset enumeration in
-increasing size order, kept free of the solver's pruning machinery.
+increasing size order (``graphs.covering_subsets``), kept free of the
+solver's pruning machinery.
 
 Witnesses are deterministic: among all minimum dominating sets the one whose
 sorted vertex tuple is lexicographically smallest is reconstructed by fixing
@@ -40,13 +41,20 @@ from __future__ import annotations
 import os
 import re
 import sys
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import or_
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError
-from .graphs import Graph, bit_list, cartesian_product, graph_key, max_degree
+from .graphs import (
+    Graph,
+    bit_list,
+    cartesian_product,
+    covering_subsets,
+    graph_key,
+    max_degree,
+)
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -133,7 +141,7 @@ class _Search:
         return chosen
 
     def _pick(self, covered: int, allowed: int, near: int) -> int:
-        """Uncovered vertex with the fewest allowed dominators (-1 if any has none).
+        """Uncovered vertex with the fewest allowed dominators.
 
         Ties go to the lower pref; the key (count, pref) is encoded as
         count * n + pref.  ``near`` is the union of closed[u] over the
@@ -159,8 +167,6 @@ class _Search:
             v = low.bit_length() - 1
             m ^= low
             c = (self.closed[v] & allowed).bit_count()
-            if c == 0:
-                return -1
             key = c * self.n + self.pref[v]
             if key < best_key:
                 best_key, best_v = key, v
@@ -189,9 +195,12 @@ class _Search:
             if not need:
                 return False
             m &= far[(m & -m).bit_length() - 1]
+        # Every uncovered vertex keeps an allowed dominator: the value pass's
+        # root allows every vertex; a witness probe at v < c allows the
+        # vertices of ``found`` above c, which dominate what ``chosen`` leaves
+        # uncovered; and a child excludes at most c_v - 1 dominators of any
+        # vertex, since the branch vertex v has the fewest allowed ones.
         v = self._pick(covered, allowed, near)
-        if v < 0:
-            return False
         rest = allowed
         for u in self.cand_order[v]:
             if rest >> u & 1:
@@ -284,15 +293,8 @@ def gamma_brute(g: Graph) -> int:
     if g.n > BRUTE_FORCE_LIMIT:
         raise CapacityError(f"brute-force oracle limited to n <= {BRUTE_FORCE_LIMIT}")
     closed = closed_neighborhoods(g)
-    full = g.vertex_mask
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            covered = 0
-            for v in combo:
-                covered |= closed[v]
-            if covered == full:
-                return size
-    raise AssertionError("unreachable: the full vertex set dominates")
+    return next(size for size in range(g.n + 1)
+                if next(covering_subsets(closed, size, g.vertex_mask), None) is not None)
 
 
 def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None) -> VizingReport:

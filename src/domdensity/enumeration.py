@@ -259,27 +259,19 @@ def is_unique_form(m: BiadjacencyMatrix) -> bool:
     """True iff some row/column permutation yields all ones minus disjoint
     2x2 zero blocks.
 
-    Checked structurally: rows pair up into identical twins, and the twin
-    pairs' zero columns tile the column set disjointly.  The columns then
-    pair up too, since column j's zeros are the twin pair whose zeros hold
-    j.  Odd orders (and any shape other than n = k + 2) are False, the form
-    does not exist there.
+    Checked structurally: the rows pair up into identical twins.  That is
+    enough, since at n = k + 2 every column sum leaves each column exactly
+    two zeros; twin rows share their zeros, so column j's two zeros are one
+    twin pair's, and the pairs' zero columns tile the column set.  Odd
+    orders (and any shape other than n = k + 2) are False, the form does
+    not exist there.
     """
     if m.n != m.k + 2 or m.n % 2:
         return False
     groups: dict[int, int] = {}
     for row in m.rows:
         groups[row] = groups.get(row, 0) + 1
-    if any(c != 2 for c in groups.values()):
-        return False
-    full = (1 << m.n) - 1
-    zero_union = 0
-    for row in groups:
-        zeros = full ^ row
-        if zeros & zero_union:
-            return False
-        zero_union |= zeros
-    return zero_union == full
+    return all(c == 2 for c in groups.values())
 
 
 # ---------------------------------------------------------------------------

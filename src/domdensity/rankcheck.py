@@ -14,10 +14,10 @@ assumed.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError
+from .graphs import covering_subsets
 
 if TYPE_CHECKING:  # enumeration imports this module
     from .enumeration import BiadjacencyMatrix
@@ -65,21 +65,13 @@ def biadjacency_rank(m: BiadjacencyMatrix) -> int:
 def disjoint_row_cover(m: BiadjacencyMatrix, rows_wanted: int):
     """The lexicographically first ``rows_wanted`` rows (a sorted index
     tuple) with pairwise-disjoint supports whose union is every column, or
-    None.
+    None.  The rows of a cover are pairwise disjoint iff their sizes sum to
+    n, the number of columns.
     """
     if rows_wanted < 1:
         raise PreconditionError("need rows_wanted >= 1")
-    full = (1 << m.n) - 1
-    for combo in combinations(range(m.n), rows_wanted):
-        covered = 0
-        for i in combo:
-            if m.rows[i] & covered:
-                break
-            covered |= m.rows[i]
-        else:
-            if covered == full:
-                return combo
-    return None
+    return next((combo for combo in covering_subsets(m.rows, rows_wanted, (1 << m.n) - 1)
+                 if sum(m.rows[i].bit_count() for i in combo) == m.n), None)
 
 
 class ObstructionReport(NamedTuple):

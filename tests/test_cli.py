@@ -46,6 +46,21 @@ def k2_file(tmp_path):
 
 
 @pytest.fixture
+def k1_file(tmp_path):
+    path = tmp_path / "k1.g6"
+    path.write_text("@\n")
+    return str(path)
+
+
+# K2 on vertices 0 and 2: vertex 1 is isolated, alone on side B.
+@pytest.fixture
+def k2_gap_file(tmp_path):
+    path = tmp_path / "k2-gap.edges"
+    path.write_text("0 2\n")
+    return str(path)
+
+
+@pytest.fixture
 def rank6_file(tmp_path, rank6_matrix):
     path = tmp_path / "worked.biadj"
     path.write_text(rank6_matrix.to_text() + "\n")
@@ -546,18 +561,27 @@ class TestTransform:
         assert err == ("input error: need either --h FILE or both --rho-h"
                        " and --delta-h\n")
 
-    # Refused before any input or cache is read: nothing is solved or logged.
+    # Every flag error is refused before any input or cache is read: nothing
+    # is solved, a cache's torn tail is not cut, and a missing input file is
+    # not what is reported.
     @pytest.mark.parametrize("flags, error", [
         (["--rho-h", "1/2", "--delta-h", "-1"], "--delta-h must be at least 0, not -1"),
-    ], ids=["delta-h"])
+        (["--h", "@c4", "--rho-h", "1/2"],
+         "need either --h FILE or both --rho-h and --delta-h"),
+        (["--rho-h", "1/2"], "need either --h FILE or both --rho-h and --delta-h"),
+        (["--rho-h", "3/2", "--delta-h", "2"], "--rho-h must lie in (0, 1], not 3/2"),
+        (["--rho-h", "1/0", "--delta-h", "2"], "--rho-h 1/0 has a zero denominator"),
+    ], ids=["delta-h", "h-and-rho-h", "rho-h-alone", "rho-h-range", "rho-h-zero"])
     def test_out_of_range_flag_refused_before_any_solve(self, tmp_path, c4_file,
                                                         capsys, flags, error):
         cache = tmp_path / "F"
+        cache.write_bytes(b"Cl 2 3\nCl 2")
         flags = [c4_file if a == "@c4" else a for a in flags]
-        assert main(["transform", c4_file, *flags, "--cache", str(cache)]) == EXIT_INPUT
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"input error: {error}\n"
-        assert not cache.exists()
+        for graph in (c4_file, str(tmp_path / "missing.edges")):
+            assert main(["transform", graph, *flags, "--cache", str(cache)]) == EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"input error: {error}\n"
+            assert cache.read_bytes() == b"Cl 2 3\nCl 2"
 
     # The trace runs to the slope bound, round 4847, whose graph would have
     # 4 + 1 * 4847 vertices: refused before any grown graph is built.
@@ -633,8 +657,8 @@ class TestTransform:
             "value", _Search.minimum_size, lambda search, seed: search.n))
         monkeypatch.setattr(_Search, "lexmin_witness", counted(
             "witness", _Search.lexmin_witness, lambda search, gamma: search.n))
-        monkeypatch.setattr(transform, "minimum_dominating_sets", counted(
-            "sweep", transform.minimum_dominating_sets, lambda g, gamma: g.n))
+        monkeypatch.setattr(transform, "covering_subsets", counted(
+            "sweep", transform.covering_subsets, lambda masks, size, full: len(masks)))
         for module in (cli, transform):
             monkeypatch.setattr(module, "evaluate_hypothesis", counted(
                 "hypothesis", transform.evaluate_hypothesis,
@@ -734,6 +758,16 @@ def test_failed_load_keeps_the_torn_tail(tmp_path, c4_file, capsys, command, fir
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error: ")
     assert log.read_bytes() == before
+
+
+def test_blank_cache_lines_are_skipped(tmp_path, c4_file, capsys):
+    # Cl 2 5 is C4's minimum set {0, 2}, not the lex-min {0, 1}: the output
+    # shows the log was read, and nothing is written back.
+    cache = tmp_path / "gamma.cache"
+    cache.write_text("\nCl 2 5\n\n")
+    assert main(["gamma", c4_file, "--cache", str(cache)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == ["gamma = 2", "witness = [0, 2]"]
+    assert cache.read_text() == "\nCl 2 5\n\n"
 
 
 def test_conflicting_cache_lines_are_an_input_error(tmp_path, c4_file, capsys):
@@ -887,6 +921,21 @@ def test_unread_flags_are_refused(request, capsys, argv):
      "0122cb5f7f79fd7e997cbf2dc32867e63e20f17d4a4047d1e5b555c7ceaf4fd6"),
     (["transform", "@k33", "--rho-h", "1", "--delta-h", "2", "--format", "json"],
      "ba4708fdc958a8537cca82c2981f21e6d9b1b30c0fcd6afab87f4836a69e72f5"),
+    # K2 against K1: the gate is met exactly, with no strict escalation subset
+    (["transform", "@k2", "--h", "@k1", "--format", "text"],
+     "795c24bda5becaf03836e2bf2594af6dfce1d0115dc8ed082bb95a74dee12d7f"),
+    (["transform", "@k2", "--h", "@k1", "--format", "json"],
+     "af3ff891ca787df664c6269cbad89fe3ba4db84eb5712ac73007a49bc96d1b84"),
+    (["transform", "@k2", "--rho-h", "1", "--delta-h", "0", "--format", "text"],
+     "d605f9882e41de2b043b6835ddb73ee8b960892b662ae895fc9f8fe9328fa4cc"),
+    # K1 has an empty side A, which the sweep skips
+    (["transform", "@k1", "--rho-h", "1/2", "--delta-h", "1", "--format", "text"],
+     "0335270e9bcb7ab6038b09db7b9c8d80960d6cbe14b8b8e78daa6ff88d73bfca"),
+    # an isolated vertex on side B: no bipartition upper bound
+    (["gamma", "@k2_gap", "--format", "text"],
+     "63c75a02dda0952e4695104e4090e346cbf58a728b386611aca9aa8496f29d56"),
+    (["gamma", "@k2_gap", "--format", "json"],
+     "cc1cab2d1a3882edf6229d1173d6805357df4a0c5a5cc66ac02c48d9f3ccc2a4"),
 ])
 def test_command_output_is_pinned(request, capsys, argv, out):
     argv = [request.getfixturevalue(a[1:] + "_file") if a.startswith("@") else a

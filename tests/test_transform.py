@@ -28,7 +28,8 @@ from domdensity import (
     star,
 )
 from domdensity.catalog import connected_bipartite_graphs, connected_graphs
-from domdensity.transform import minimum_dominating_sets
+from domdensity.domination import closed_neighborhoods
+from domdensity.graphs import covering_subsets
 
 
 def partner_terms(bg, h):
@@ -119,8 +120,8 @@ class TestHypothesis:
 
     def test_minimum_set_sweep_matches_brute(self):
         g = cycle_graph(6)
-        masks = minimum_dominating_sets(g, 2)
-        assert sorted(masks) == sorted([0b001001, 0b010010, 0b100100])
+        covers = covering_subsets(closed_neighborhoods(g), 2, g.vertex_mask)
+        assert list(covers) == [(0, 3), (1, 4), (2, 5)]
 
 
 class TestConstructiveInequality:
