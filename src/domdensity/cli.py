@@ -8,7 +8,6 @@ bound or implication failed, the scientifically interesting outcome).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -143,6 +142,8 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
         for record in records:
             out.write(json.dumps(record, sort_keys=True) + "\n")
     elif fmt == "csv":
+        import csv  # only here and in cmd_scan: slow to load at start-up
+
         flat = [_flatten(r) for r in records]
         columns: list[str] = []
         for row in flat:
@@ -273,6 +274,8 @@ def cmd_scan(args) -> int:
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "csv":
+            import csv
+
             table = csv.DictWriter(out, fieldnames=SCAN_RECORD_FIELDS)
             table.writeheader()
 
@@ -363,6 +366,8 @@ def cmd_transform(args) -> int:
             rho_h = Fraction(args.rho_h)
         except ZeroDivisionError:
             raise ParseError(f"--rho-h {args.rho_h} has a zero denominator") from None
+        except ValueError:
+            raise ParseError(f"--rho-h {args.rho_h} is not a fraction p/q") from None
         # gamma / n lies in (0, 1] for every graph.
         if not 0 < rho_h <= 1:
             raise ParseError(f"--rho-h must lie in (0, 1], not {args.rho_h}")

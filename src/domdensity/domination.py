@@ -21,6 +21,16 @@ as a mask, records every full cover it reaches as ``found`` and its size as
 sets ``goal`` to -1 and ``best`` and ``found`` to the greedy cover, so it
 never stops early and ends with an optimal cover in ``found``.
 
+The value pass's root prunes by symmetry: it skips a child u when a checked
+automorphism sigma maps u onto an earlier root child u' (u is still excluded
+from the later children).  A cover D below u has an image sigma(D) of the
+same size that holds u', so sigma(D) lies below u' or an earlier child,
+which were searched for every cover smaller than the incumbent.  So the
+incumbent is no larger than D, and below u the search would cut every node
+before a full cover: skipping u changes neither ``best`` nor ``found``.
+The ``_automorphism`` calls at one root take at most as many steps as the
+first child's subtree took nodes.
+
 ``gamma_brute`` is the independent oracle: plain subset enumeration in
 increasing size order (``graphs.covering_subsets``), kept free of the
 solver's pruning machinery.
@@ -85,6 +95,61 @@ def is_dominating(g: Graph, vertices: int) -> bool:
     return covered == g.vertex_mask
 
 
+def _automorphism(neighbors, x: int, y: int, budget: int) -> tuple[list[int] | None, int]:
+    """An automorphism with x -> y as a permutation list, or None, and the
+    steps taken, at most ``budget``: one per vertex put in the BFS order of
+    x's component and one per image tried.  Each vertex in that order is
+    mapped onto an unused neighbour of its BFS parent's image with its degree
+    and its adjacency to the vertices mapped before it; vertices outside
+    the component stay fixed.  The result is checked on its own before it
+    is returned."""
+    order, parent, comp = [x], [-1], 1 << x
+    for w in order:
+        if len(order) > budget:
+            return None, budget
+        m = neighbors[w] & ~comp
+        comp |= m
+        order += bit_list(m)
+        parent += [w] * m.bit_count()
+    steps = len(order)
+    if not comp >> y & 1:
+        return None, steps
+    image = list(range(len(neighbors)))
+    options = [1 << y] + [0] * (len(order) - 1)  # options[k]: images left for order[k]
+    domain = used = 0  # order[:k] and its image
+    k = 0
+    while k < len(order):
+        w = order[k]
+        if not options[k]:
+            # Every image of order[k] failed: take back order[k - 1]'s.
+            k -= 1
+            if k < 0:
+                return None, steps
+            domain ^= 1 << order[k]
+            used ^= 1 << image[order[k]]
+            continue
+        if steps == budget:
+            return None, steps
+        steps += 1
+        c = (options[k] & -options[k]).bit_length() - 1
+        options[k] ^= 1 << c
+        if neighbors[c].bit_count() == neighbors[w].bit_count() and neighbors[c] & used \
+                == sum(1 << image[a] for a in bit_list(neighbors[w] & domain)):
+            image[w] = c
+            domain |= 1 << w
+            used |= 1 << c
+            k += 1
+            if k < len(order):
+                options[k] = neighbors[image[parent[k]]] & ~used
+    # A bijection of the component onto itself that maps every edge at a
+    # component vertex onto an edge.
+    if sum(1 << image[w] for w in order) != comp or any(
+            sum(1 << image[u] for u in bit_list(neighbors[w])) != neighbors[image[w]]
+            for w in order):
+        return None, steps
+    return image, steps
+
+
 class _Search:
     """Branch-and-bound state shared by the value pass and the witness pass."""
 
@@ -93,6 +158,7 @@ class _Search:
         # deep; the default limit's 1000 frames stay for the callers.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), g.n + 1000))
         self.n = g.n
+        self.neighbors = g.neighbors
         self.full = g.vertex_mask
         self.closed = closed_neighborhoods(g)
         self.cover_span = max_degree(g) + 1
@@ -124,6 +190,9 @@ class _Search:
         self.goal = -1
         self.best = g.n
         self.found = 0  # the last full cover reached, of size best
+        self.nodes = 0  # _descend calls since the value pass started
+        self.root = []  # the value pass's root children so far
+        self.budget = 0  # automorphism steps left at the value pass's root
 
     def greedy_cover(self) -> int:
         """Max-coverage greedy cover; ties go to the vertex first in pref order."""
@@ -174,11 +243,28 @@ class _Search:
 
     def minimum_size(self, seed: int) -> int:
         self.goal, self.best, self.found = -1, seed.bit_count(), seed
+        self.nodes, self.root = 0, []
         self._descend(0, 0, self.full, 0)
         return self.best
 
+    def _image_of_earlier(self, u: int) -> bool:
+        """True iff a verified automorphism maps the root child u onto an
+        earlier root child.  The steps spent on automorphisms at the root
+        add up to at most the first child's subtree's node count."""
+        earlier = self.root
+        self.root = earlier + [u]
+        if len(earlier) == 1:
+            self.budget = self.nodes - 1
+        for y in earlier:
+            sigma, steps = _automorphism(self.neighbors, u, y, self.budget)
+            self.budget -= steps
+            if sigma is not None:
+                return True
+        return False
+
     def _descend(self, chosen: int, covered: int, allowed: int, near: int) -> bool:
         """Branch and bound below one node; True at a cover of size <= goal."""
+        self.nodes += 1
         count = chosen.bit_count()
         if covered == self.full:
             self.best, self.found = count, chosen
@@ -206,6 +292,9 @@ class _Search:
             if rest >> u & 1:
                 rest ^= 1 << u
                 near |= self.closed[u]
+                # Only the value pass's root has chosen nothing.
+                if not chosen and self._image_of_earlier(u):
+                    continue
                 if self._descend(chosen | 1 << u, covered | self.closed[u], rest, near):
                     return True
         return False

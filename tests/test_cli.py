@@ -571,7 +571,9 @@ class TestTransform:
         (["--rho-h", "1/2"], "need either --h FILE or both --rho-h and --delta-h"),
         (["--rho-h", "3/2", "--delta-h", "2"], "--rho-h must lie in (0, 1], not 3/2"),
         (["--rho-h", "1/0", "--delta-h", "2"], "--rho-h 1/0 has a zero denominator"),
-    ], ids=["delta-h", "h-and-rho-h", "rho-h-alone", "rho-h-range", "rho-h-zero"])
+        (["--rho-h", "x", "--delta-h", "1"], "--rho-h x is not a fraction p/q"),
+    ], ids=["delta-h", "h-and-rho-h", "rho-h-alone", "rho-h-range", "rho-h-zero",
+            "rho-h-literal"])
     def test_out_of_range_flag_refused_before_any_solve(self, tmp_path, c4_file,
                                                         capsys, flags, error):
         cache = tmp_path / "F"

@@ -3,7 +3,7 @@ inequality check, and the persistent gamma cache."""
 
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -29,8 +29,9 @@ from domdensity import (
     star,
     to_graph,
 )
+from domdensity import domination
 from domdensity.catalog import all_graphs
-from domdensity.domination import _Search
+from domdensity.domination import _automorphism, _Search
 from domdensity.graphs import bit_list
 from conftest import random_graph
 
@@ -166,12 +167,23 @@ class TestGammaExact:
             assert gamma_value(attach_leaves(g, subset)) == gamma
 
 
+def no_automorphism(neighbors, x, y, budget):
+    return None, 0
+
+
+def solve_passes(g):
+    """Value-pass nodes, then gamma, the value pass's cover and the witness."""
+    search = _Search(g)
+    gamma = search.minimum_size(search.greedy_cover())
+    return search.nodes, (gamma, search.found, search.lexmin_witness(gamma))
+
+
 class TestSearchNodes:
     """The value pass keeps its search tree; its cover seeds the witness pass."""
 
     @pytest.mark.parametrize("a, b, value_nodes, unseeded_witness_nodes", [
-        (7, 7, 10_451, 8_619),
-        (8, 9, 137_292, 40_840),
+        (7, 7, 4_490, 8_619),
+        (8, 9, 46_616, 40_840),
     ], ids=["C7xC7", "C8xC9"])
     def test_descend_calls_per_pass(self, monkeypatch, a, b, value_nodes,
                                     unseeded_witness_nodes):
@@ -186,10 +198,154 @@ class TestSearchNodes:
         monkeypatch.setattr(_Search, "_descend", counted)
         search = _Search(cartesian_product(cycle_graph(a), cycle_graph(b)))
         gamma = search.minimum_size(search.greedy_cover())
-        assert calls == value_nodes
+        assert calls == search.nodes == value_nodes
         calls = 0
         search.lexmin_witness(gamma)
         assert calls < unseeded_witness_nodes / 2
+
+    # With no automorphism found, the root searches every child, as it did
+    # before orbit pruning: the old tree, with the same value, cover and witness.
+    @pytest.mark.parametrize("a, b, unpruned_nodes", [
+        (7, 7, 10_451),
+        (8, 9, 137_292),
+    ], ids=["C7xC7", "C8xC9"])
+    def test_unpruned_tree_keeps_the_answer(self, monkeypatch, a, b, unpruned_nodes):
+        g = cartesian_product(cycle_graph(a), cycle_graph(b))
+        nodes, answer = solve_passes(g)
+        monkeypatch.setattr(domination, "_automorphism", no_automorphism)
+        assert solve_passes(g) == (unpruned_nodes, answer)
+
+
+def hypercube(d):
+    return from_edges(1 << d, [(v, v ^ 1 << i) for v in range(1 << d)
+                               for i in range(d) if not v >> i & 1])
+
+
+def petersen():
+    return from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def assert_automorphism(g, perm, x, y):
+    """Checked from the definition, not through the finder's own test."""
+    assert sorted(perm) == list(range(g.n))
+    assert perm[x] == y
+    for v in range(g.n):
+        for u in bit_list(g.neighbors[v]):
+            assert g.has_edge(perm[u], perm[v])
+
+
+class TestAutomorphism:
+    UNBOUNDED = 10**9
+
+    @pytest.mark.parametrize("g", [
+        cycle_graph(3), cycle_graph(12),
+        cartesian_product(cycle_graph(3), cycle_graph(5)),
+        cartesian_product(cycle_graph(4), cycle_graph(6)),
+        hypercube(4), petersen(), complete_bipartite(3, 3),
+    ], ids=["C3", "C12", "C3xC5", "C4xC6", "Q4", "Petersen", "K3,3"])
+    def test_vertex_transitive_maps_every_pair(self, g):
+        for x in range(g.n):
+            for y in range(g.n):
+                perm, steps = _automorphism(g.neighbors, x, y, self.UNBOUNDED)
+                assert_automorphism(g, perm, x, y)
+
+    def test_worked_example_shifts_each_side(self, rank6_matrix):
+        g = to_graph(rank6_matrix).graph
+        for side in (range(6), range(6, 12)):
+            for x in side:
+                for y in side:
+                    perm, steps = _automorphism(g.neighbors, x, y, self.UNBOUNDED)
+                    assert_automorphism(g, perm, x, y)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_path_reflection(self, n):
+        g = path_graph(n)
+        perm, steps = _automorphism(g.neighbors, 0, n - 1, self.UNBOUNDED)
+        assert_automorphism(g, perm, 0, n - 1)
+        assert perm == list(range(n))[::-1]
+        assert _automorphism(g.neighbors, 0, 1, self.UNBOUNDED)[0] is None
+
+    def test_degree_mismatch(self):
+        g = star(3)
+        assert _automorphism(g.neighbors, 0, 1, self.UNBOUNDED)[0] is None
+        assert _automorphism(g.neighbors, 1, 0, self.UNBOUNDED)[0] is None
+
+    def test_rigid_graph(self):
+        # The only automorphism of this 6-vertex graph is the identity, as
+        # the check over all 720 permutations shows.
+        g = from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 5), (3, 5)])
+        edges = {(u, v) for v in range(6) for u in bit_list(g.neighbors[v])}
+        autos = [p for p in permutations(range(6))
+                 if all((p[u], p[v]) in edges for u, v in edges)]
+        assert autos == [tuple(range(6))]
+        for x in range(6):
+            for y in range(6):
+                perm, steps = _automorphism(g.neighbors, x, y, self.UNBOUNDED)
+                assert perm == (list(range(6)) if x == y else None)
+
+    def test_other_component_stays_fixed(self):
+        g = disjoint_union(cycle_graph(4), cycle_graph(4))
+        assert _automorphism(g.neighbors, 0, 4, self.UNBOUNDED)[0] is None
+        perm, steps = _automorphism(g.neighbors, 0, 2, self.UNBOUNDED)
+        assert_automorphism(g, perm, 0, 2)
+        assert perm[4:] == [4, 5, 6, 7]
+
+    @pytest.mark.parametrize("g, x, y", [
+        (cycle_graph(40), 0, 17),
+        (cartesian_product(cycle_graph(4), cycle_graph(6)), 0, 23),
+        (hypercube(4), 0, 15),
+        (petersen(), 0, 7),
+        (from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 5), (3, 5)]), 0, 3),
+    ], ids=["C40", "C4xC6", "Q4", "Petersen", "rigid"])
+    def test_step_budget(self, g, x, y):
+        perm, needed = _automorphism(g.neighbors, x, y, self.UNBOUNDED)
+        assert _automorphism(g.neighbors, x, y, needed) == (perm, needed)
+        for budget in range(needed):
+            short, steps = _automorphism(g.neighbors, x, y, budget)
+            assert short is None and steps <= budget
+
+
+class TestOrbitPruning:
+    """The root skips only subtrees whose covers have images already searched."""
+
+    @staticmethod
+    def vertex_transitive():
+        cycles = [cycle_graph(n) for n in range(3, 19)]
+        tori = [cartesian_product(cycle_graph(a), cycle_graph(b))
+                for a in range(3, 7) for b in range(a, 9) if a * b <= 24]
+        rooks = [cartesian_product(complete_graph(a), complete_graph(b))
+                 for a in (2, 3, 4) for b in range(a, 7) if a * b <= 24]
+        circulants = [from_edges(n, [(v, (v + c) % n) for v in range(n) for c in (1, 3)])
+                      for n in range(7, 21)]
+        return (cycles + tori + rooks + circulants
+                + [hypercube(3), hypercube(4), petersen(), complete_bipartite(3, 3)])
+
+    def test_vertex_transitive_matches_brute(self, rank6_matrix):
+        for g in self.vertex_transitive() + [to_graph(rank6_matrix).graph]:
+            assert gamma_value(g) == gamma_brute(g)
+
+    @staticmethod
+    def oracle_graphs():
+        rng = random.Random(24)
+        graphs = [random_graph(rng, rng.randrange(1, 17), rng.uniform(0.05, 0.9))
+                  for _ in range(300)]
+        for first in (cycle_graph, path_graph):
+            for second in (cycle_graph, path_graph):
+                graphs += [cartesian_product(first(a), second(b))
+                           for a in range(3, 9) for b in range(a, 9) if a * b <= 40]
+        return graphs
+
+    def test_same_answer_as_unpruned(self, monkeypatch):
+        graphs = self.oracle_graphs() + self.vertex_transitive()
+        pruned = [solve_passes(g) for g in graphs]
+        monkeypatch.setattr(domination, "_automorphism", no_automorphism)
+        unpruned = [solve_passes(g) for g in graphs]
+        assert [answer for _, answer in pruned] == [answer for _, answer in unpruned]
+        # Pruning is exercised: it cuts nodes on 28 of these graphs.
+        saved = sum(a > b for (b, _), (a, _) in zip(pruned, unpruned))
+        assert all(b <= a for (b, _), (a, _) in zip(pruned, unpruned)) and saved >= 20
 
 
 class TestKnownValues:

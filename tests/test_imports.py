@@ -82,9 +82,10 @@ def test_every_private_name_is_read(module):
 
 # Each is slow to import and answers nothing a command prints: dataclasses
 # (with inspect behind it), hashlib's OpenSSL binding, which graph_key
-# loads only for a graph with more than 62 vertices, and base64: the graph6
-# codec calls binascii, which the interpreter loads at start-up.
-STARTUP_FREE = {"dataclasses", "inspect", "hashlib", "base64"}
+# loads only for a graph with more than 62 vertices, base64: the graph6
+# codec calls binascii, which the interpreter loads at start-up, and csv,
+# which only the csv output of a command loads.
+STARTUP_FREE = {"dataclasses", "inspect", "hashlib", "base64", "csv"}
 
 
 def _modules_after(statement: str) -> set[str]:
