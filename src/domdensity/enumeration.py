@@ -191,11 +191,11 @@ def enumerate_kreg(n: int, k: int) -> Iterator[BiadjacencyMatrix]:
 
     Rows are placed in nondecreasing mask order starting from the forced
     minimum row (the k lowest columns), with column-sum feasibility pruning.
-    The column condition (Lubiw 1987; Flener et al. 2002) cuts the rest:
-    read with row 0 as the most significant bit, column j must not be
-    smaller than column j + 1.  A bitmask of adjacent column pairs still
-    tied over the placed rows makes it a prefix test: a row that sets bit
-    j + 1 but not bit j of a tied pair is rejected.  No class is lost, because its V-minimal member
+    The column condition (Lubiw 1987; Flener et al. 2002) cuts the rest: read
+    with row 0 as the most significant bit, column j must not be smaller than
+    column j + 1.  A bitmask of adjacent column pairs still tied over the
+    placed rows makes it a prefix test: a row that sets bit j + 1 but not bit j
+    of a tied pair is rejected.  No class is lost, because its V-minimal member
 
     - has nondecreasing rows,
     - has first row (1 << k) - 1,

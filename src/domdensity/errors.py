@@ -2,7 +2,9 @@
 
 
 class CapacityError(RuntimeError):
-    """Input exceeds a configured size guard (vertex cap, scan cap, ...)."""
+    """Input exceeds a size guard, one of the module constants MAX_VERTICES
+    and CANONICAL_FORM_MAX (graphs), SCAN_CAP (enumeration), BRUTE_FORCE_LIMIT
+    (domination), MAX_SWEEP_SUBSETS (transform) and CATALOG_MAX (catalog)."""
 
 
 class ParseError(ValueError):

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from domdensity import BiadjacencyMatrix, Graph, from_edges
+from domdensity.enumeration import BiadjacencyMatrix
+from domdensity.graphs import Graph, from_edges
 
 # 3-regular, |A| = |B| = 6, full rational rank; minimum dominating set
 # {a2, a5, b1, b4} has size 4.  Row masks use bit j for column j.

@@ -12,37 +12,39 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from domdensity import (
-    GammaCache,
-    enumerate_kreg,
+from domdensity.catalog import connected_bipartite_graphs, connected_graphs
+from domdensity.criteria import (
     REFERENCE_NK,
-    bipartition,
     bipartition_upper_bound,
-    canonical_key,
-    cartesian_product,
-    check_vizing,
-    class_record,
     conjectured_kreg_bound,
     degree_lower_bound,
-    disjoint_row_cover,
-    evaluate_hypothesis,
+    imbalance_criterion,
+    min_threshold_order,
+    threshold_condition,
+)
+from domdensity.domination import (
+    GammaCache,
+    check_vizing,
     gamma_brute,
     gamma_exact,
     gamma_value,
-    imbalance_criterion,
     is_dominating,
+)
+from domdensity.enumeration import (
+    canonical_key,
+    class_record,
+    enumerate_kreg,
     is_unique_form,
-    iterate_leaves,
-    max_degree,
-    min_threshold_order,
-    obstruction_report,
-    rank_exact,
-    threshold_condition,
+    record_findings,
     to_graph,
 )
-from domdensity.catalog import connected_bipartite_graphs, connected_graphs
-from domdensity.enumeration import record_findings
-from domdensity.transform import constructive_inequality_check
+from domdensity.graphs import bipartition, cartesian_product, max_degree
+from domdensity.rankcheck import disjoint_row_cover, obstruction_report, rank_exact
+from domdensity.transform import (
+    constructive_inequality_check,
+    evaluate_hypothesis,
+    iterate_leaves,
+)
 from conftest import random_connected_bipartite
 from test_rankcheck import naive_rank
 
@@ -99,7 +101,7 @@ def test_criterion_03_block_form_example(block6_matrix, cache):
 
 def test_criterion_04_small_balanced_cases():
     started = time.perf_counter()
-    from domdensity import unique_form_matrix
+    from domdensity.enumeration import unique_form_matrix
     cells = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5),
              (3, 5), (4, 6), (5, 7), (6, 8)]  # (k, n)
     for k, n in cells:

@@ -3,7 +3,9 @@ the published class counts above that."""
 
 import pytest
 
-from domdensity import CapacityError, all_graphs, bipartition, connected_bipartite_graphs, connected_graphs, is_connected
+from domdensity.catalog import all_graphs, connected_bipartite_graphs, connected_graphs
+from domdensity.errors import CapacityError
+from domdensity.graphs import bipartition, is_connected
 
 
 def _orbit_count(n: int) -> int:

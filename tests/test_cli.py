@@ -12,19 +12,8 @@ from pathlib import Path
 import pytest
 
 import domdensity
-from domdensity import (
-    MAX_VERTICES,
-    CapacityError,
-    ParseError,
-    cli,
-    emit_graph6,
-    enumeration,
-    path_graph,
-    star,
-    transform,
-)
+from domdensity import cli, enumeration, transform
 from domdensity.catalog import connected_bipartite_graphs
-from domdensity.domination import _Search
 from domdensity.cli import (
     EXIT_CAPACITY,
     EXIT_FINDING,
@@ -33,6 +22,9 @@ from domdensity.cli import (
     load_graph_text,
     main,
 )
+from domdensity.domination import _Search
+from domdensity.errors import CapacityError, ParseError
+from domdensity.graphs import MAX_VERTICES, emit_graph6, path_graph, star
 from conftest import RANK6_ROWS
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -303,7 +295,7 @@ class TestCheckVizing:
 
 class TestScan:
     def test_scan_6_3_finds_worked_example(self, rank6_matrix, capsys):
-        from domdensity import canonical_key
+        from domdensity.enumeration import canonical_key
         assert main(["scan", "6", "3", "--format", "json"]) == EXIT_OK
         lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
         summary = lines[-1]

@@ -5,29 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from domdensity import (
-    PreconditionError,
+from domdensity.criteria import (
     REFERENCE_NK,
-    bipartition,
     bipartition_upper_bound,
     build_threshold_table,
-    check_vizing,
-    complete_bipartite,
     conjectured_kreg_bound,
-    cycle_graph,
     degree_lower_bound,
-    disjoint_union,
-    empty_graph,
     finite_remainder,
-    gamma_value,
     imbalance_criterion,
     imbalance_vs_arbitrary,
     kreg_order_bound,
-    max_degree,
     min_threshold_order,
-    star,
     threshold_condition,
-    to_graph,
+)
+from domdensity.domination import check_vizing, gamma_value
+from domdensity.enumeration import to_graph
+from domdensity.errors import PreconditionError
+from domdensity.graphs import (
+    bipartition,
+    complete_bipartite,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    max_degree,
+    star,
 )
 from conftest import random_connected_bipartite
 

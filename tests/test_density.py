@@ -5,24 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from domdensity import (
+from domdensity.catalog import connected_graphs
+from domdensity.criteria import min_threshold_order
+from domdensity.density import density_vizing_check
+from domdensity.domination import check_vizing, gamma_value
+from domdensity.enumeration import to_graph
+from domdensity.graphs import (
     bipartition,
     cartesian_product,
-    check_vizing,
     complete_bipartite,
-    constructive_inequality_check,
     cycle_graph,
-    density_vizing_check,
     disjoint_union,
     empty_graph,
-    evaluate_hypothesis,
-    gamma_value,
-    iterate_leaves,
     max_degree,
-    min_threshold_order,
-    to_graph,
 )
-from domdensity.catalog import connected_graphs
+from domdensity.transform import (
+    constructive_inequality_check,
+    evaluate_hypothesis,
+    iterate_leaves,
+)
 from conftest import random_graph
 
 

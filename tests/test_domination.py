@@ -7,32 +7,34 @@ from itertools import combinations, permutations
 
 import pytest
 
-from domdensity import (
-    CapacityError,
+from domdensity import domination
+from domdensity.catalog import all_graphs
+from domdensity.domination import (
     GammaCache,
-    PreconditionError,
-    attach_leaves,
-    cartesian_product,
+    _Search,
+    _automorphism,
     check_vizing,
+    gamma_brute,
+    gamma_exact,
+    gamma_value,
+    is_dominating,
+)
+from domdensity.enumeration import to_graph
+from domdensity.errors import CapacityError, PreconditionError
+from domdensity.graphs import (
+    attach_leaves,
+    bit_list,
+    cartesian_product,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
     from_edges,
-    gamma_brute,
-    gamma_exact,
-    gamma_value,
     graph_key,
-    is_dominating,
     path_graph,
     star,
-    to_graph,
 )
-from domdensity import domination
-from domdensity.catalog import all_graphs
-from domdensity.domination import _automorphism, _Search
-from domdensity.graphs import bit_list
 from conftest import random_graph
 
 

@@ -7,29 +7,24 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from domdensity import (
+from domdensity.cli import load_graph_text
+from domdensity.domination import gamma_brute, gamma_value
+from domdensity.enumeration import (
+    SCAN_RECORD_FIELDS,
     BiadjacencyMatrix,
-    CapacityError,
-    ParseError,
-    PreconditionError,
-    bipartition,
+    Finding,
     canonical_key,
     class_record,
+    encode_key,
     enumerate_kreg,
-    gamma_brute,
-    gamma_value,
     is_unique_form,
-    obstruction_report,
+    record_findings,
     to_graph,
     unique_form_matrix,
 )
-from domdensity.cli import load_graph_text
-from domdensity.enumeration import (
-    SCAN_RECORD_FIELDS,
-    Finding,
-    encode_key,
-    record_findings,
-)
+from domdensity.errors import CapacityError, ParseError, PreconditionError
+from domdensity.graphs import bipartition
+from domdensity.rankcheck import obstruction_report
 from conftest import BLOCK6_ROWS, RANK6_ROWS
 
 # (n, k) -> (class count, sha256 of the sorted canonical keys joined by

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from domdensity import (
+from domdensity.catalog import all_graphs
+from domdensity.cli import load_graph_text
+from domdensity.errors import CapacityError, ParseError
+from domdensity.graphs import (
     BipartiteGraph,
-    CapacityError,
     Graph,
-    ParseError,
     attach_leaves,
     bipartition,
     canonical_form,
@@ -28,8 +29,6 @@ from domdensity import (
     path_graph,
     star,
 )
-from domdensity.catalog import all_graphs
-from domdensity.cli import load_graph_text
 from conftest import RANK6_ROWS, random_graph
 
 
@@ -456,7 +455,7 @@ class TestCanonicalForm:
 def test_max_degree_values():
     assert max_degree(complete_bipartite(3, 3)) == 3
     assert max_degree(empty_graph(1)) == 0
-    from domdensity import BiadjacencyMatrix, to_graph
+    from domdensity.enumeration import BiadjacencyMatrix, to_graph
     worked = to_graph(BiadjacencyMatrix(6, 3, RANK6_ROWS)).graph
     assert max_degree(worked) == 3
 

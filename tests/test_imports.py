@@ -103,6 +103,19 @@ def test_cli_import_adds_no_slow_modules():
     assert not added & STARTUP_FREE, sorted(added & STARTUP_FREE)
 
 
+def test_cli_import_does_not_load_catalog():
+    # catalog builds test populations; no command prints what it answers.
+    assert "domdensity.catalog" not in _modules_after("import domdensity.cli")
+
+
+def test_package_root_binds_no_name():
+    # Each name is imported from the module that defines it; the version
+    # lives in pyproject.toml.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1, [ast.dump(node)[:60] for node in tree.body[1:]]
+
+
 # Public names that no code in src reads, each kept for a stated reason.
 PUBLIC_WITHOUT_SRC_READER = {
     # the solver's independent oracle

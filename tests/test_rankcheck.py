@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from domdensity import (
-    BiadjacencyMatrix,
+from domdensity.enumeration import BiadjacencyMatrix, enumerate_kreg
+from domdensity.rankcheck import (
     biadjacency_rank,
     disjoint_row_cover,
-    enumerate_kreg,
     obstruction_report,
     rank_exact,
 )

@@ -7,29 +7,32 @@ from itertools import combinations
 
 import pytest
 
-from domdensity import (
-    CapacityError,
-    PreconditionError,
-    attach_leaves,
-    bipartition,
-    cartesian_product,
-    complete_bipartite,
-    constructive_inequality_check,
-    cycle_graph,
-    evaluate_hypothesis,
+from domdensity.catalog import connected_bipartite_graphs, connected_graphs
+from domdensity.domination import (
+    closed_neighborhoods,
     gamma_brute,
     gamma_exact,
     gamma_value,
     is_dominating,
-    iterate_leaves,
-    m_star,
+)
+from domdensity.errors import CapacityError, PreconditionError
+from domdensity.graphs import (
+    attach_leaves,
+    bipartition,
+    cartesian_product,
+    complete_bipartite,
+    covering_subsets,
+    cycle_graph,
     max_degree,
     path_graph,
     star,
 )
-from domdensity.catalog import connected_bipartite_graphs, connected_graphs
-from domdensity.domination import closed_neighborhoods
-from domdensity.graphs import covering_subsets
+from domdensity.transform import (
+    constructive_inequality_check,
+    evaluate_hypothesis,
+    iterate_leaves,
+    m_star,
+)
 
 
 def partner_terms(bg, h):
