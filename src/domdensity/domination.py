@@ -2,7 +2,7 @@
 
 ``gamma_exact`` is a branch and bound specialised to closed-neighbourhood
 covering: vertices are preferred in descending-degree order (ties by index),
-the incumbent is seeded by a greedy max-coverage pass, and a node with
+the incumbent is seeded by ``_Search.seed_cover``, and a node with
 ``need`` = best - count more vertices to beat the incumbent is cut by two
 admissible lower bounds: ceil(uncovered / (max degree + 1)) >= need, or a
 greedily built 2-packing of the uncovered region reaching need.  The packing
@@ -18,8 +18,11 @@ counted, since every other one keeps its whole closed neighbourhood.
 One recursive descent serves both passes.  It carries the chosen vertices
 as a mask, records every full cover it reaches as ``found`` and its size as
 ``best``, and stops at the first cover of size <= ``goal``.  The value pass
-sets ``goal`` to -1 and ``best`` and ``found`` to the greedy cover, so it
-never stops early and ends with an optimal cover in ``found``.
+sets ``goal`` to -1 and ``best`` and ``found`` to a seed cover, so it never
+stops early and ends with an optimal cover in ``found``.  The seed is the
+smaller of two covers, the greedy one on a tie: a lazy max-coverage greedy
+(Minoux's accelerated greedy) and a dive along the branching rule.  Either
+seed leaves the search exact, and the witness is lex-min whatever the seed.
 
 The value pass's root prunes by symmetry: it skips a child u when a checked
 automorphism sigma maps u onto an earlier root child u' (u is still excluded
@@ -195,19 +198,46 @@ class _Search:
         self.budget = 0  # automorphism steps left at the value pass's root
 
     def greedy_cover(self) -> int:
-        """Max-coverage greedy cover; ties go to the vertex first in pref order."""
-        covered = 0
-        chosen = 0
+        """Max-coverage greedy cover; ties go to the vertex first in pref order.
+
+        Gains only fall, so a vertex's last computed gain bounds its current
+        one (lazy greedy): ``bucket[g]`` holds, as a mask over pref ranks,
+        the vertices last seen with gain g, and only the lowest rank of the
+        top bucket is recomputed.  If its gain held, it is the vertex of
+        largest gain and, among those, of lowest pref; else it moves down.
+        """
+        bucket = [0] * (self.cover_span + 1)
+        for r, v in enumerate(self.order):
+            bucket[self.closed[v].bit_count()] |= 1 << r
+        covered = chosen = 0
+        top = self.cover_span
         while covered != self.full:
-            best_v = -1
-            best_gain = 0
-            for v in self.order:
-                gain = (self.closed[v] & ~covered).bit_count()
-                if gain > best_gain:
-                    best_v, best_gain = v, gain
-            chosen |= 1 << best_v
-            covered |= self.closed[best_v]
+            while not bucket[top]:
+                top -= 1
+            low = bucket[top] & -bucket[top]
+            bucket[top] ^= low
+            v = self.order[low.bit_length() - 1]
+            gain = (self.closed[v] & ~covered).bit_count()
+            if gain == top:
+                chosen |= 1 << v
+                covered |= self.closed[v]
+            else:
+                bucket[gain] |= low
         return chosen
+
+    def seed_cover(self) -> int:
+        """The value pass's incumbent: the greedy cover, or a dive's cover if
+        that is strictly smaller.  The dive follows the branching rule: it
+        takes, for the uncovered vertex ``_pick`` names at the root, the
+        dominator of largest gain (ties go to the lower pref)."""
+        chosen = covered = 0
+        while covered != self.full:
+            u = max(self.cand_order[self._pick(covered, self.full, 0)],
+                    key=lambda u: (self.closed[u] & ~covered).bit_count())
+            chosen |= 1 << u
+            covered |= self.closed[u]
+        greedy = self.greedy_cover()
+        return chosen if chosen.bit_count() < greedy.bit_count() else greedy
 
     def _pick(self, covered: int, allowed: int, near: int) -> int:
         """Uncovered vertex with the fewest allowed dominators.
@@ -347,7 +377,7 @@ def _exact(g: Graph, cache: "GammaCache | None") -> int:
                                  f" {drop[0]} can be dropped (a wrong gamma cache entry?)")
             return witness
     search = _Search(g)
-    witness = search.lexmin_witness(search.minimum_size(search.greedy_cover()))
+    witness = search.lexmin_witness(search.minimum_size(search.seed_cover()))
     if cache is not None:
         cache.put(key, witness)
     return witness
@@ -363,7 +393,7 @@ def gamma_value(g: Graph, cache: "GammaCache | None" = None) -> int:
     if cache is not None:
         return _exact(g, cache).bit_count()
     search = _Search(g)
-    return search.minimum_size(search.greedy_cover())
+    return search.minimum_size(search.seed_cover())
 
 
 def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, int]:

@@ -10,6 +10,7 @@ import pytest
 from domdensity import domination
 from domdensity.catalog import all_graphs
 from domdensity.domination import (
+    BRUTE_FORCE_LIMIT,
     GammaCache,
     _Search,
     _automorphism,
@@ -115,6 +116,13 @@ class TestGammaExact:
             sys.setrecursionlimit(limit)
         assert gamma == 1008 and is_dominating(g, witness)
 
+    @pytest.mark.parametrize("g", [cycle_graph(4096), path_graph(3100)],
+                             ids=["C4096", "P3100"])
+    def test_large_sparse_graphs_in_reach(self, g):
+        # gamma(C_n) = gamma(P_n) = ceil(n / 3); the seed is already optimal.
+        gamma, witness = gamma_exact(g)
+        assert gamma == -(-g.n // 3) and is_dominating(g, witness)
+
     def test_witness_is_lexicographically_first(self):
         # P4: {0,2} beats every other minimum dominating set in sorted order
         gamma, witness = gamma_exact(path_graph(4))
@@ -216,6 +224,117 @@ class TestSearchNodes:
         nodes, answer = solve_passes(g)
         monkeypatch.setattr(domination, "_automorphism", no_automorphism)
         assert solve_passes(g) == (unpruned_nodes, answer)
+
+
+def pref_order(g):
+    """Vertices by descending degree, ties by index: the solver's pref order."""
+    return sorted(range(g.n), key=lambda v: (-g.neighbors[v].bit_count(), v))
+
+
+def plain_greedy(g):
+    """Oracle of the lazy greedy: every gain recomputed each round, O(gamma n)."""
+    closed = [g.neighbors[v] | 1 << v for v in range(g.n)]
+    covered = chosen = 0
+    while covered != g.vertex_mask:
+        best_v, best_gain = -1, 0
+        for v in pref_order(g):
+            gain = (closed[v] & ~covered).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        chosen |= 1 << best_v
+        covered |= closed[best_v]
+    return chosen
+
+
+def dive(g):
+    """Oracle of the dive: the uncovered vertex of smallest closed
+    neighbourhood (lowest index on a tie) gets its dominator of largest gain
+    (lowest pref on a tie), until the graph is covered."""
+    closed = [g.neighbors[v] | 1 << v for v in range(g.n)]
+    pref = {v: r for r, v in enumerate(pref_order(g))}
+    covered = chosen = 0
+    while covered != g.vertex_mask:
+        v = min((w for w in range(g.n) if not covered >> w & 1),
+                key=lambda w: (closed[w].bit_count(), w))
+        u = min(bit_list(closed[v]),
+                key=lambda u: (-(closed[u] & ~covered).bit_count(), pref[u]))
+        chosen |= 1 << u
+        covered |= closed[u]
+    return chosen
+
+
+class TestSeedRule:
+    """The value pass starts from the smaller of the greedy cover and the
+    dive's cover, the greedy one on a tie."""
+
+    @staticmethod
+    def seed_graphs():
+        # Random graphs of every density (isolated vertices at the sparse
+        # end), regular graphs whose gains tie in every round, and regular
+        # graphs made irregular by leaves.  Order 0 is refused by Graph.
+        rng = random.Random(26)
+        graphs = [empty_graph(1), path_graph(2), complete_graph(5), star(6)]
+        graphs += [random_graph(rng, rng.randrange(1, 25), rng.uniform(0.02, 0.9))
+                   for _ in range(800)]
+        regular = [cycle_graph(n) for n in range(3, 30)]
+        regular += [cartesian_product(cycle_graph(a), cycle_graph(b))
+                    for a in range(3, 8) for b in range(a, 9)]
+        regular += [from_edges(n, [(v, (v + c) % n) for v in range(n) for c in (1, 3)])
+                    for n in range(7, 31)]
+        graphs += regular + [disjoint_union(g, h) for g, h in zip(regular, regular[1:])]
+        graphs += [attach_leaves(g, rng.randrange(1, 1 << g.n)) for g in regular]
+        return graphs
+
+    def test_lazy_greedy_is_the_plain_greedy(self):
+        graphs = self.seed_graphs()
+        assert len(graphs) >= 1000
+        for g in graphs:
+            assert _Search(g).greedy_cover() == plain_greedy(g)
+
+    def test_seed_is_the_smaller_cover_and_greedy_on_a_tie(self):
+        wins = ties = 0
+        for g in self.seed_graphs():
+            greedy, dived = plain_greedy(g), dive(g)
+            seed = _Search(g).seed_cover()
+            assert is_dominating(g, dived)
+            assert seed == (dived if dived.bit_count() < greedy.bit_count() else greedy)
+            wins += seed != greedy
+            ties += dived != greedy and dived.bit_count() == greedy.bit_count()
+        # Both branches of the rule are taken.
+        assert wins >= 20 and ties >= 20
+
+    # The dive wins on the first three; C8xC9 keeps the greedy seed's tree.
+    @pytest.mark.parametrize("name, greedy_size, seed_size, value_nodes", [
+        ("rank6xC5", 14, 12, 7_789),
+        ("P8xP8", 19, 18, 1_822),
+        ("C7xC7", 13, 12, 2_640),
+        ("C8xC9", 18, 18, 46_616),
+    ])
+    def test_value_pass_nodes(self, rank6_matrix, name, greedy_size, seed_size,
+                              value_nodes):
+        factors = {
+            "rank6xC5": (to_graph(rank6_matrix).graph, cycle_graph(5)),
+            "P8xP8": (path_graph(8), path_graph(8)),
+            "C7xC7": (cycle_graph(7), cycle_graph(7)),
+            "C8xC9": (cycle_graph(8), cycle_graph(9)),
+        }
+        search = _Search(cartesian_product(*factors[name]))
+        assert search.greedy_cover().bit_count() == greedy_size
+        seed = search.seed_cover()
+        assert seed.bit_count() == seed_size
+        search.minimum_size(seed)
+        assert search.nodes == value_nodes
+
+    def test_same_answer_as_greedy_seeded(self):
+        for g in TestOrbitPruning.oracle_graphs() + TestOrbitPruning.vertex_transitive():
+            _, (gamma, _, witness) = solve_passes(g)
+            search = _Search(g)
+            assert search.minimum_size(search.seed_cover()) == gamma
+            assert is_dominating(g, search.found) and search.found.bit_count() == gamma
+            assert search.lexmin_witness(gamma) == witness
+            assert gamma_value(g) == gamma and gamma_exact(g) == (gamma, witness)
+            if g.n <= BRUTE_FORCE_LIMIT:
+                assert gamma == gamma_brute(g)
 
 
 def hypercube(d):

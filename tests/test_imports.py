@@ -70,7 +70,7 @@ def _module_private_names(tree: ast.Module):
                     if name.startswith("_") and not name.startswith("__"))
 
 
-@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+@pytest.mark.parametrize("module", MODULES)
 def test_every_private_name_is_read(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     read = {n.id for n in ast.walk(tree)
@@ -156,7 +156,7 @@ def _reads(tree: ast.Module):
 
 def test_every_public_name_has_a_src_reader():
     trees = {m: ast.parse((PACKAGE / m).read_text(), filename=m)
-             for m in MODULES + ["__init__.py"]}
+             for m in MODULES}
     reads = {m: list(_reads(tree)) for m, tree in trees.items()}
     unread = []
     for module in MODULES:
