@@ -3,15 +3,19 @@
 ``gamma_exact`` is a branch and bound specialised to closed-neighbourhood
 covering: vertices are preferred in descending-degree order (ties by index),
 the incumbent is seeded by ``_Search.seed_cover``, and a node with
-``need`` = best - count more vertices to beat the incumbent is cut by two
+``need`` = best - count more vertices to beat the incumbent is cut by
 admissible lower bounds: ceil(uncovered / (max degree + 1)) >= need, or a
-greedily built 2-packing of the uncovered region reaching need.  The packing
-is taken in ascending vertex order, and packing v keeps only the uncovered
-vertices outside distance 2 of v (precomputed as ``far[v]``), so it costs one
-step per packed vertex; it stops as soon as it reaches need, which makes the
-same cut decision as the whole packing would.  The branch vertex is the
-uncovered vertex with the fewest allowed dominators; a ``near`` mask, the
-union of the closed neighbourhoods of the vertices excluded so far, is
+greedily built 2-packing of the uncovered region reaching need (no vertex
+dominates two of its vertices; Meir & Moon 1975).  Two packings are built,
+in two orders, and either one cuts.  Each takes the highest vertex left, v,
+and keeps only the vertices outside distance 2 of v (precomputed as
+``far[v]``), so it costs one step per packed vertex; it stops as soon as it
+reaches need, which makes the same cut decision as the whole packing would.
+One runs in descending order; the other runs on mirrored masks, vertex v at
+bit n-1-v, so it takes the vertices in ascending order without the two
+integers per step that isolating the lowest bit costs.  The branch vertex
+is the uncovered vertex with the fewest allowed dominators; a ``near`` mask,
+the union of the closed neighbourhoods of the vertices excluded so far, is
 carried down the search so that only uncovered vertices inside it are
 counted, since every other one keeps its whole closed neighbourhood.
 
@@ -175,11 +179,17 @@ class _Search:
         ]
         # far[v]: every vertex farther than distance 2 from v, i.e. every w
         # whose closed neighbourhood misses closed[v]; a 2-packing that takes
-        # v may still take only these.
+        # v may still take only these.  The mirrored masks put vertex v at
+        # bit n-1-v: mclosed[v] mirrors closed[v], and mfar[n-1-v] mirrors
+        # far[v], so that a packing stepped by the highest mirrored bit takes
+        # the vertices in ascending order.
+        self.mclosed = [sum(1 << g.n - 1 - u for u in bit_list(c)) for c in self.closed]
         self.far = [self.full] * g.n
+        self.mfar = [self.full] * g.n
         for v in range(g.n):
             for u in bit_list(self.closed[v]):
                 self.far[v] &= ~self.closed[u]
+                self.mfar[g.n - 1 - v] &= ~self.mclosed[u]
         # Vertices by closed-neighbourhood size, smallest size first; within
         # one size, pref is index order.
         sizes = {}
@@ -274,7 +284,7 @@ class _Search:
     def minimum_size(self, seed: int) -> int:
         self.goal, self.best, self.found = -1, seed.bit_count(), seed
         self.nodes, self.root = 0, []
-        self._descend(0, 0, self.full, 0)
+        self._descend(0, 0, 0, self.full, 0)
         return self.best
 
     def _image_of_earlier(self, u: int) -> bool:
@@ -292,8 +302,10 @@ class _Search:
                 return True
         return False
 
-    def _descend(self, chosen: int, covered: int, allowed: int, near: int) -> bool:
-        """Branch and bound below one node; True at a cover of size <= goal."""
+    def _descend(self, chosen: int, covered: int, mcovered: int, allowed: int,
+                 near: int) -> bool:
+        """Branch and bound below one node; True at a cover of size <= goal.
+        ``mcovered`` is ``covered`` mirrored (vertex v at bit n-1-v)."""
         self.nodes += 1
         count = chosen.bit_count()
         if covered == self.full:
@@ -303,14 +315,16 @@ class _Search:
         uncovered = self.full & ~covered
         if -(-uncovered.bit_count() // self.cover_span) >= need:
             return False
-        # Greedy 2-packing in ascending order, stopped once it reaches need.
-        far = self.far
-        m = uncovered
-        while m:
-            need -= 1
-            if not need:
-                return False
-            m &= far[(m & -m).bit_length() - 1]
+        # Two greedy 2-packings, each stopped once it reaches need: in
+        # descending order, and in ascending order as descending over the
+        # mirrored masks.
+        for far, m in ((self.far, uncovered), (self.mfar, self.full & ~mcovered)):
+            size = need
+            while m:
+                size -= 1
+                if not size:
+                    return False
+                m &= far[m.bit_length() - 1]
         # Every uncovered vertex keeps an allowed dominator: the value pass's
         # root allows every vertex; a witness probe at v < c allows the
         # vertices of ``found`` above c, which dominate what ``chosen`` leaves
@@ -325,7 +339,8 @@ class _Search:
                 # Only the value pass's root has chosen nothing.
                 if not chosen and self._image_of_earlier(u):
                     continue
-                if self._descend(chosen | 1 << u, covered | self.closed[u], rest, near):
+                if self._descend(chosen | 1 << u, covered | self.closed[u],
+                                 mcovered | self.mclosed[u], rest, near):
                     return True
         return False
 
@@ -334,7 +349,7 @@ class _Search:
 
         Runs after ``minimum_size``, which leaves an optimal cover in ``found``.
         """
-        chosen = covered = lo = 0
+        chosen = covered = mcovered = lo = 0
         while covered != self.full:
             # ``found`` holds ``chosen`` and then its next vertex c, so a
             # probe at c would succeed: probe only lo..c-1.
@@ -343,11 +358,13 @@ class _Search:
             for v in range(lo, c):
                 self.goal, self.best = gamma, gamma + 1
                 if self._descend(chosen | 1 << v, covered | self.closed[v],
-                                 self.full & ~((2 << v) - 1), self.near_prefix[v]):
+                                 mcovered | self.mclosed[v], self.full & ~((2 << v) - 1),
+                                 self.near_prefix[v]):
                     c = v
                     break
             chosen |= 1 << c
             covered |= self.closed[c]
+            mcovered |= self.mclosed[c]
             lo = c + 1
         return chosen
 

@@ -3,7 +3,9 @@ inequality check, and the persistent gamma cache."""
 
 import random
 import sys
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 
@@ -15,6 +17,7 @@ from domdensity.domination import (
     _Search,
     _automorphism,
     check_vizing,
+    closed_neighborhoods,
     gamma_brute,
     gamma_exact,
     gamma_value,
@@ -181,21 +184,36 @@ def no_automorphism(neighbors, x, y, budget):
     return None, 0
 
 
-def solve_passes(g):
-    """Value-pass nodes, then gamma, the value pass's cover and the witness."""
+def new_search(g, one_packing=False):
+    """A search; with ``one_packing`` it cuts by the ascending packing alone.
+
+    A zeroed ``far`` stops the descending packing after one vertex, and a
+    packing of one vertex never cuts where the ascending one does not.
+    """
     search = _Search(g)
+    if one_packing:
+        search.far = [0] * g.n
+    return search
+
+
+def solve_passes(g, one_packing=False):
+    """Value-pass nodes, then gamma, the value pass's cover and the witness."""
+    search = new_search(g, one_packing)
     gamma = search.minimum_size(search.greedy_cover())
     return search.nodes, (gamma, search.found, search.lexmin_witness(gamma))
 
 
 class TestSearchNodes:
-    """The value pass keeps its search tree; its cover seeds the witness pass."""
+    """The value pass keeps its search tree; its cover seeds the witness pass.
+    The cases without a packing suffix pin the ascending packing alone."""
 
-    @pytest.mark.parametrize("a, b, value_nodes, unseeded_witness_nodes", [
-        (7, 7, 4_490, 8_619),
-        (8, 9, 46_616, 40_840),
-    ], ids=["C7xC7", "C8xC9"])
-    def test_descend_calls_per_pass(self, monkeypatch, a, b, value_nodes,
+    @pytest.mark.parametrize("a, b, one_packing, value_nodes, unseeded_witness_nodes", [
+        (7, 7, True, 4_490, 8_619),
+        (8, 9, True, 46_616, 40_840),
+        (7, 7, False, 2_769, 4_909),
+        (8, 9, False, 28_404, 23_025),
+    ], ids=["C7xC7", "C8xC9", "C7xC7-two-packings", "C8xC9-two-packings"])
+    def test_descend_calls_per_pass(self, monkeypatch, a, b, one_packing, value_nodes,
                                     unseeded_witness_nodes):
         calls = 0
         descend = _Search._descend
@@ -206,7 +224,7 @@ class TestSearchNodes:
             return descend(search, *args)
 
         monkeypatch.setattr(_Search, "_descend", counted)
-        search = _Search(cartesian_product(cycle_graph(a), cycle_graph(b)))
+        search = new_search(cartesian_product(cycle_graph(a), cycle_graph(b)), one_packing)
         gamma = search.minimum_size(search.greedy_cover())
         assert calls == search.nodes == value_nodes
         calls = 0
@@ -215,15 +233,32 @@ class TestSearchNodes:
 
     # With no automorphism found, the root searches every child, as it did
     # before orbit pruning: the old tree, with the same value, cover and witness.
-    @pytest.mark.parametrize("a, b, unpruned_nodes", [
-        (7, 7, 10_451),
-        (8, 9, 137_292),
-    ], ids=["C7xC7", "C8xC9"])
-    def test_unpruned_tree_keeps_the_answer(self, monkeypatch, a, b, unpruned_nodes):
+    @pytest.mark.parametrize("a, b, one_packing, unpruned_nodes", [
+        (7, 7, True, 10_451),
+        (8, 9, True, 137_292),
+        (7, 7, False, 6_920),
+        (8, 9, False, 79_685),
+    ], ids=["C7xC7", "C8xC9", "C7xC7-two-packings", "C8xC9-two-packings"])
+    def test_unpruned_tree_keeps_the_answer(self, monkeypatch, a, b, one_packing,
+                                            unpruned_nodes):
         g = cartesian_product(cycle_graph(a), cycle_graph(b))
-        nodes, answer = solve_passes(g)
+        nodes, answer = solve_passes(g, one_packing)
         monkeypatch.setattr(domination, "_automorphism", no_automorphism)
-        assert solve_passes(g) == (unpruned_nodes, answer)
+        assert solve_passes(g, one_packing) == (unpruned_nodes, answer)
+
+    def test_two_packings_keep_the_answer(self, monkeypatch):
+        graphs = TestOrbitPruning.oracle_graphs() + TestOrbitPruning.vertex_transitive()
+        two = [solve_passes(g)[1] for g in graphs]
+        assert two == [solve_passes(g, one_packing=True)[1] for g in graphs]
+        # Every cut of the ascending packing is a cut of both, so the tree
+        # only shrinks; orbit pruning is off, as its step budget follows the
+        # first root child's node count.  The descending packing cuts nodes
+        # on 61 of these graphs.
+        monkeypatch.setattr(domination, "_automorphism", no_automorphism)
+        two = [solve_passes(g)[0] for g in graphs]
+        one = [solve_passes(g, one_packing=True)[0] for g in graphs]
+        assert all(b <= a for b, a in zip(two, one))
+        assert sum(b < a for b, a in zip(two, one)) >= 50
 
 
 def pref_order(g):
@@ -303,7 +338,18 @@ class TestSeedRule:
         # Both branches of the rule are taken.
         assert wins >= 20 and ties >= 20
 
+    @staticmethod
+    def product(rank6_matrix, name):
+        factors = {
+            "rank6xC5": (to_graph(rank6_matrix).graph, cycle_graph(5)),
+            "P8xP8": (path_graph(8), path_graph(8)),
+            "C7xC7": (cycle_graph(7), cycle_graph(7)),
+            "C8xC9": (cycle_graph(8), cycle_graph(9)),
+        }
+        return cartesian_product(*factors[name])
+
     # The dive wins on the first three; C8xC9 keeps the greedy seed's tree.
+    # Value-pass nodes under the seed rule with the ascending packing alone.
     @pytest.mark.parametrize("name, greedy_size, seed_size, value_nodes", [
         ("rank6xC5", 14, 12, 7_789),
         ("P8xP8", 19, 18, 1_822),
@@ -312,18 +358,30 @@ class TestSeedRule:
     ])
     def test_value_pass_nodes(self, rank6_matrix, name, greedy_size, seed_size,
                               value_nodes):
-        factors = {
-            "rank6xC5": (to_graph(rank6_matrix).graph, cycle_graph(5)),
-            "P8xP8": (path_graph(8), path_graph(8)),
-            "C7xC7": (cycle_graph(7), cycle_graph(7)),
-            "C8xC9": (cycle_graph(8), cycle_graph(9)),
-        }
-        search = _Search(cartesian_product(*factors[name]))
+        search = new_search(self.product(rank6_matrix, name), one_packing=True)
         assert search.greedy_cover().bit_count() == greedy_size
         seed = search.seed_cover()
         assert seed.bit_count() == seed_size
         search.minimum_size(seed)
         assert search.nodes == value_nodes
+
+    # Value-pass nodes under the greedy seed with the ascending packing
+    # alone, then with both packings under the greedy seed and the seed rule.
+    @pytest.mark.parametrize("name, one_packing_greedy, greedy_seeded, seed_rule", [
+        ("rank6xC5", 27_207, 20_028, 6_503),
+        ("P8xP8", 2_702, 2_042, 1_303),
+        ("C7xC7", 4_490, 2_769, 1_773),
+        ("C8xC9", 46_616, 28_404, 28_404),
+    ])
+    def test_value_pass_nodes_with_two_packings(self, rank6_matrix, name,
+                                                one_packing_greedy, greedy_seeded,
+                                                seed_rule):
+        g = self.product(rank6_matrix, name)
+        assert solve_passes(g, one_packing=True)[0] == one_packing_greedy
+        assert solve_passes(g)[0] == greedy_seeded
+        search = _Search(g)
+        search.minimum_size(search.seed_cover())
+        assert search.nodes == seed_rule
 
     def test_same_answer_as_greedy_seeded(self):
         for g in TestOrbitPruning.oracle_graphs() + TestOrbitPruning.vertex_transitive():
@@ -335,6 +393,113 @@ class TestSeedRule:
             assert gamma_value(g) == gamma and gamma_exact(g) == (gamma, witness)
             if g.n <= BRUTE_FORCE_LIMIT:
                 assert gamma == gamma_brute(g)
+
+
+def mirror(mask, n):
+    """``mask`` with vertex v moved to bit n-1-v, by reversing its digits."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
+
+
+def distances(g):
+    """All-pairs distances by breadth-first search; n + 2 where unreachable."""
+    dist = []
+    for source in range(g.n):
+        d = [g.n + 2] * g.n
+        d[source] = 0
+        queue = [source]
+        for v in queue:
+            for u in bit_list(g.neighbors[v]):
+                if d[u] == g.n + 2:
+                    d[u] = d[v] + 1
+                    queue.append(u)
+        dist.append(d)
+    return dist
+
+
+def greedy_packing(dist, order):
+    """Each vertex of ``order`` that is at distance >= 3 from those taken."""
+    taken = []
+    for v in order:
+        if all(dist[v][u] >= 3 for u in taken):
+            taken.append(v)
+    return taken
+
+
+def top_bit_packing(far, m):
+    """The solver's packing step: take m's highest bit v, keep m & far[v]."""
+    taken = []
+    while m:
+        taken.append(m.bit_length() - 1)
+        m &= far[taken[-1]]
+    return taken
+
+
+class TestPackings:
+    """Each node is cut by two greedy 2-packings of its uncovered vertices,
+    one in descending order over ``far`` and one in ascending order taken as
+    descending over the mirrored masks (vertex v at bit n-1-v)."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(27)
+        for _ in range(150):
+            g = random_graph(rng, rng.randrange(1, 15), rng.uniform(0.05, 0.6))
+            for _ in range(4):
+                yield g, rng.getrandbits(g.n)
+
+    def test_mirrored_masks_are_bit_reversals(self):
+        for g, _ in self.cases():
+            search, dist = _Search(g), distances(g)
+            for v in range(g.n):
+                assert search.far[v] == sum(1 << w for w in range(g.n) if dist[v][w] >= 3)
+                assert search.mclosed[v] == mirror(search.closed[v], g.n)
+                assert search.mfar[g.n - 1 - v] == mirror(search.far[v], g.n)
+
+    def test_packings_are_admissible(self):
+        descending_larger = ascending_larger = 0
+        for g, covered in self.cases():
+            search, dist = _Search(g), distances(g)
+            uncovered = g.vertex_mask & ~covered
+            members = bit_list(uncovered)
+            descending = top_bit_packing(search.far, uncovered)
+            ascending = [g.n - 1 - w
+                         for w in top_bit_packing(search.mfar, mirror(uncovered, g.n))]
+            assert descending == greedy_packing(dist, members[::-1])
+            assert ascending == greedy_packing(dist, members)
+            # Vertices pairwise at distance >= 3 have disjoint closed
+            # neighbourhoods, so no vertex dominates two of them.
+            closed = closed_neighborhoods(g)
+            needed = next(k for k in range(g.n + 1) for combo in combinations(closed, k)
+                          if not uncovered & ~reduce(or_, combo, 0))
+            for packing in (descending, ascending):
+                assert all(dist[u][v] >= 3 for u, v in combinations(packing, 2))
+                assert len(packing) <= needed
+            descending_larger += len(descending) > len(ascending)
+            ascending_larger += len(ascending) > len(descending)
+        # Each order is sometimes the larger packing.
+        assert descending_larger >= 10 and ascending_larger >= 10
+
+    def test_a_node_is_cut_by_the_larger_bound(self):
+        def reached_pick(*args):
+            raise LookupError
+
+        for g, covered in self.cases():
+            uncovered = g.vertex_mask & ~covered
+            if not uncovered:
+                continue
+            search = _Search(g)
+            search._pick = reached_pick
+            bound = max(-(-uncovered.bit_count() // search.cover_span),
+                        len(top_bit_packing(search.far, uncovered)),
+                        len(top_bit_packing(search.mfar, mirror(uncovered, g.n))))
+            for need in range(1, g.n + 2):
+                search.best = need
+                args = 0, covered, mirror(covered, g.n), g.vertex_mask, 0
+                if need <= bound:
+                    assert search._descend(*args) is False
+                else:
+                    with pytest.raises(LookupError):
+                        search._descend(*args)
 
 
 def hypercube(d):
