@@ -12,7 +12,11 @@ symmetries in matrix models"); every class has such a doubly-lexical
 member (Lubiw 1987, "Doubly lexical orderings of matrices").  The first
 member of a class the generator reaches is its V-minimal one, so a complete
 matrix is kept after a self-minimality test: the column search, seeded
-with the matrix's own rows, finds no member below them.
+with the matrix's own rows, finds no member below them.  That search
+bounds a node by the least value each row can still reach, its placed bits
+over its unplaced ones packed into the lowest free positions.  These bound
+the final rows elementwise, and elementwise >= implies sorted >=, so their
+sorted vector bounds every member below the node.
 
 This module is the one place a class is evaluated.  ``class_record``
 gives its complete scan record: exact gamma, the conjectured bound
@@ -112,13 +116,17 @@ def to_graph(m: BiadjacencyMatrix) -> BipartiteGraph:
 def canonical_key(m: BiadjacencyMatrix, below: Sequence[int] | None = None) -> str:
     """Lexicographically minimal row-sorted matrix over all column permutations.
 
-    Column positions are assigned most-significant bit first; because the
-    already-assigned bits quantise every row value, the sorted partial vector
-    lower-bounds every completion, which prunes the n! column orders hard.
-    Identical columns are expanded once, and states (partial row values plus
-    the multiset of unplaced columns) are visited once: a revisit explores
-    the same subtree and cannot improve the incumbent.  The key is emitted
-    as fixed-width hex row masks, smallest row first, prefixed by the (n, k)
+    Column positions are assigned most-significant bit first.  Every row
+    holds exactly k ones, so a row with placed bits p, whose other k - |p|
+    ones still go to positions 0..pos, ends at least at
+    p | ((1 << (k - |p|)) - 1): its placed bits over its lowest possible
+    fill.  The search carries that value per row.  Elementwise >= implies
+    sorted >=, so the sorted vector of these values lower-bounds every
+    completion, and a child whose bound is not below the incumbent is cut.
+    Identical columns are expanded once, and states (row values plus the
+    multiset of unplaced columns) are visited once: a revisit explores the
+    same subtree and cannot improve the incumbent.  The key is emitted as
+    fixed-width hex row masks, smallest row first, prefixed by the (n, k)
     shape.
 
     ``below``, the nondecreasing rows of a member of the class, seeds the
@@ -133,19 +141,20 @@ def canonical_key(m: BiadjacencyMatrix, below: Sequence[int] | None = None) -> s
     visited: set[tuple] = set()
     memo_floor = n - 4  # dedup only near the root, where a hit prunes most
 
-    def descend(partials: list[int], remaining: tuple[int, ...], pos: int) -> bool:
+    def descend(bounds: list[int], remaining: tuple[int, ...], pos: int) -> bool:
+        # bounds[r]: row r's placed bits over its lowest fill at 0..pos.
         # True stops the search: a member below ``below`` was found
         nonlocal best
         if pos < 0:
             # the last expansion's bound was this leaf, and it beat ``best``
-            best = sorted(partials)
+            best = sorted(bounds)
             return below is not None
         if pos >= memo_floor:
             # Row-permutation-invariant fingerprint: a row matters only
-            # through its partial value and its memberships among unplaced
-            # columns.  Automorphic branches collide here and are walked once.
+            # through its value and its memberships among unplaced columns.
+            # Automorphic branches collide here and are walked once.
             state = tuple(sorted(
-                (partials[r],) + tuple(c >> r & 1 for c in remaining)
+                (bounds[r],) + tuple(c >> r & 1 for c in remaining)
                 for r in range(n)))
             if state in visited:
                 return False
@@ -153,13 +162,16 @@ def canonical_key(m: BiadjacencyMatrix, below: Sequence[int] | None = None) -> s
         expansions = []
         seen = set()
         bit = 1 << pos
+        low = (bit << 1) - 1
         for t, col in enumerate(remaining):
             if col in seen:
                 continue
             seen.add(col)
-            grown = partials[:]
+            grown = bounds[:]
             for r in rows_of[col]:
-                grown[r] |= bit
+                # place the bit and shift the row's fill down by one
+                b = grown[r]
+                grown[r] = b & ~low | bit | (b & low) >> 1
             expansions.append((sorted(grown), grown, t))
         expansions.sort(key=lambda e: e[0])
         for bound, grown, t in expansions:
@@ -169,7 +181,7 @@ def canonical_key(m: BiadjacencyMatrix, below: Sequence[int] | None = None) -> s
                 return True
         return False
 
-    descend([0] * n, cols, n - 1)
+    descend([(1 << m.k) - 1] * n, cols, n - 1)
     assert best is not None
     return encode_key(n, m.k, best)
 

@@ -7,6 +7,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from domdensity import enumeration
 from domdensity.cli import load_graph_text
 from domdensity.domination import gamma_brute, gamma_value
 from domdensity.enumeration import (
@@ -30,7 +31,9 @@ from conftest import BLOCK6_ROWS, RANK6_ROWS
 # (n, k) -> (class count, sha256 of the sorted canonical keys joined by
 # newlines), taken from the generator that canonically keyed every
 # row-sorted matrix and kept the first of each key; (8, 2) and (8, 5) from
-# the column-ordered generator that fully keyed every complete matrix.
+# the column-ordered generator that fully keyed every complete matrix;
+# (8, 3) from the self-minimality test whose search bounded a node by its
+# sorted placed bits alone, before the unplaced ones entered the bound.
 PINNED_CLASSES = {
     (1, 1): (1, "c5752c93158aa0bc87f4665057b3d30a36b996345fc4250a69368f3ce46277ce"),
     (2, 1): (1, "86d823ee18a160103c9b2de0f95d9cd6d0cc7ae9fab221f447cc8ca0b91d5168"),
@@ -61,6 +64,7 @@ PINNED_CLASSES = {
     (7, 6): (1, "0b257c0de7908bad8053658c5c4cbfb0159b312211132cb98e3e4888e585f990"),
     (7, 7): (1, "4484aed9b5d6272960c0434a62ee44ee68ac5dc0ac59945485a7d4ec446fabca"),
     (8, 2): (7, "1dd721db290db2d7ff9eb54c3e80b17af6893ac963a837193ed8cc025e4609a7"),
+    (8, 3): (51, "35e82abd67eaf55502f4151c6aa984dff4f7fca11b952a9ed647f4dbc23450f8"),
     (8, 5): (51, "be3ae6d33eb58dc3e49f20e4d0567f378691dd0aab987ee40401a66a3949b39a"),
     (8, 6): (7, "64e37d4eb1fac22a87a3b6e854c9576aa1a1d00f5cef32aae779dcddd968e933"),
 }
@@ -279,6 +283,31 @@ class TestCanonicalKey:
                 assert found in members and found < rows, (rows, found)
         assert 0 < minimal < len(inputs)
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_unseeded_against_min_over_all_permutations_at_7(self, k):
+        # random row and column permutations of every (7, k) class against
+        # the least sorted rows over all 5,040 column orders, built from
+        # column memberships (under half the time of ``_sorted_members``)
+        rng = random.Random(70 + k)
+        for m in enumerate_kreg(7, k):
+            rows_of = [[i for i in range(7) if m.column(j) >> i & 1]
+                       for j in range(7)]
+            best = None
+            for cp in permutations(range(7)):
+                rows = [0] * 7
+                for j in range(7):
+                    for i in rows_of[cp[j]]:
+                        rows[i] |= 1 << j
+                rows.sort()
+                if best is None or rows < best:
+                    best = rows
+            for _ in range(4):
+                rp = rng.sample(range(7), 7)
+                cp = rng.sample(range(7), 7)
+                rows = _column_permuted([m.rows[i] for i in rp], 7, cp)
+                assert canonical_key(BiadjacencyMatrix(7, k, rows)) == \
+                    encode_key(7, k, best), rows
+
 
 class TestEnumerate:
     def test_single_class_cases(self):
@@ -293,6 +322,29 @@ class TestEnumerate:
     def test_class_counts_match_orbit_oracle(self, n, k):
         ours = len(list(enumerate_kreg(n, k)))
         assert ours == _orbit_class_count(n, k)
+
+    def test_each_self_minimality_decision_against_min_over_all_permutations(
+            self, monkeypatch):
+        # every complete matrix the generator tests, n <= 6: kept iff its
+        # rows are the least sorted rows over its class's column orders
+        decisions = []
+
+        def recorded(m, below=None):
+            key = canonical_key(m, below=below)
+            decisions.append((tuple(below), key == encode_key(m.n, m.k, below)))
+            return key
+
+        monkeypatch.setattr(enumeration, "canonical_key", recorded)
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                start = len(decisions)
+                kept = [m.rows for m in enumerate_kreg(n, k)]
+                assert [rows for rows, keep in decisions[start:] if keep] == kept
+        for rows, keep in decisions:
+            n = len(rows)
+            assert keep == (rows == min(_sorted_members(rows, n))), rows
+        rejected = sum(not keep for _, keep in decisions)
+        assert 0 < rejected < len(decisions)
 
     def test_capacity_guard_and_override(self):
         with pytest.raises(CapacityError, match=r"^enumeration capped at n <= 8$"):
