@@ -27,7 +27,3 @@ def density_vizing_check(g: Graph, h: Graph, report: VizingReport) -> bool:
     rho_p = Fraction(report.gamma_product, g.n * h.n)
     return rho_p >= Fraction(report.gamma_g, g.n) * Fraction(report.gamma_h, h.n)
 
-
-__all__ = [
-    "density_vizing_check",
-]

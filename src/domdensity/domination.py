@@ -38,10 +38,6 @@ before a full cover: skipping u changes neither ``best`` nor ``found``.
 The ``_automorphism`` calls at one root take at most as many steps as the
 first child's subtree took nodes.
 
-``gamma_brute`` is the independent oracle: plain subset enumeration in
-increasing size order (``graphs.covering_subsets``), kept free of the
-solver's pruning machinery.
-
 Witnesses are deterministic: among all minimum dominating sets the one whose
 sorted vertex tuple is lexicographically smallest is reconstructed by fixing
 vertices in ascending order, each probe a descent with ``goal`` = gamma and
@@ -63,17 +59,14 @@ from operator import or_
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import CapacityError, PreconditionError
+from .errors import PreconditionError
 from .graphs import (
     Graph,
     bit_list,
     cartesian_product,
-    covering_subsets,
     graph_key,
     max_degree,
 )
-
-BRUTE_FORCE_LIMIT = 24
 
 
 class VizingReport(NamedTuple):
@@ -422,15 +415,6 @@ def gamma_exact(g: Graph, cache: "GammaCache | None" = None) -> tuple[int, int]:
     """
     witness = _exact(g, cache)
     return witness.bit_count(), witness
-
-
-def gamma_brute(g: Graph) -> int:
-    """Oracle: enumerate subsets in increasing size order, n <= 24 enforced."""
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"brute-force oracle limited to n <= {BRUTE_FORCE_LIMIT}")
-    closed = closed_neighborhoods(g)
-    return next(size for size in range(g.n + 1)
-                if next(covering_subsets(closed, size, g.vertex_mask), None) is not None)
 
 
 def check_vizing(g: Graph, h: Graph, cache: "GammaCache | None" = None) -> VizingReport:

@@ -90,15 +90,6 @@ class BiadjacencyMatrix(_MatrixFields):
         )
 
 
-def unique_form_matrix(n: int) -> BiadjacencyMatrix:
-    """All ones minus n/2 disjoint 2x2 zero blocks along the diagonal."""
-    if n < 2 or n % 2:
-        raise PreconditionError("the block form needs an even order >= 2")
-    full = (1 << n) - 1
-    rows = tuple(full ^ (0b11 << (2 * (i // 2))) for i in range(n))
-    return BiadjacencyMatrix(n, n - 2, rows)
-
-
 def to_graph(m: BiadjacencyMatrix) -> BipartiteGraph:
     """Row vertices 0..n-1 on side A, column vertices n..2n-1 on side B."""
     n = m.n

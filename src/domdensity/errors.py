@@ -3,8 +3,7 @@
 
 class CapacityError(RuntimeError):
     """Input exceeds a size guard, one of the module constants MAX_VERTICES
-    and CANONICAL_FORM_MAX (graphs), SCAN_CAP (enumeration), BRUTE_FORCE_LIMIT
-    (domination), MAX_SWEEP_SUBSETS (transform) and CATALOG_MAX (catalog)."""
+    (graphs), SCAN_CAP (enumeration) and MAX_SWEEP_SUBSETS (transform)."""
 
 
 class ParseError(ValueError):

@@ -20,7 +20,6 @@ from .errors import CapacityError, ParseError, PreconditionError
 # The one vertex cap, on every input graph and every product: it bounds the
 # memory of a graph and the depth of the solver's recursion, not its time.
 MAX_VERTICES = 4096
-CANONICAL_FORM_MAX = 10
 
 _GRAPH6_HEADER = ">>graph6<<"
 # graph6 writes 6 bits per character as chr(63 + value), base64 as its
@@ -117,41 +116,6 @@ def from_edges(n: int, edges) -> Graph:
         nb[u] |= 1 << v
         nb[v] |= 1 << u
     return Graph(n, tuple(nb))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
-
-
-def path_graph(n: int) -> Graph:
-    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    left = (1 << a) - 1
-    right = ((1 << b) - 1) << a
-    return Graph(a + b, tuple(right if v < a else left for v in range(a + b)))
-
-
-def star(leaves: int) -> Graph:
-    """K_{1,leaves} with the centre at vertex 0."""
-    return complete_bipartite(1, leaves)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    nb = list(g.neighbors) + [m << g.n for m in h.neighbors]
-    return Graph(g.n + h.n, tuple(nb))
 
 
 def max_degree(g: Graph) -> int:
@@ -374,64 +338,3 @@ def attach_leaves(g: Graph, targets: int) -> Graph:
         nb[v] |= 1 << leaf
         nb.append(1 << v)
     return Graph(g.n + len(chosen), tuple(nb))
-
-
-# ---------------------------------------------------------------------------
-# canonical forms for small graphs (catalogues, isomorphism checks)
-# ---------------------------------------------------------------------------
-
-def _refined_colors(g: Graph) -> list[int]:
-    colors = [g.degree(v) for v in range(g.n)]
-    distinct = len(set(colors))
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(g.neighbors[v]))))
-            for v in range(g.n)
-        ]
-        remap = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colors = [remap[s] for s in sig]
-        if len(remap) == distinct:
-            return colors
-        distinct = len(remap)
-
-
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """Minimal edge-set encoding over all relabelings, as (n, bitmask).
-
-    Permutations are restricted to the colour classes of a degree/neighbour
-    refinement, which is sound because the refinement is an isomorphism
-    invariant and class order is fixed by the invariant values themselves.
-    Exponential in the class sizes, hence the small-order guard.
-    """
-    if g.n > CANONICAL_FORM_MAX:
-        raise CapacityError(f"canonical form limited to n <= {CANONICAL_FORM_MAX}")
-    from itertools import permutations, product
-
-    colors = _refined_colors(g)
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colors[v], []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    offsets = []
-    off = 0
-    for members in ordered:
-        offsets.append(off)
-        off += len(members)
-    edge_list = list(g.edges())
-    best = None
-    pos = [0] * g.n
-    for arrangement in product(*(permutations(members) for members in ordered)):
-        for ci, arranged in enumerate(arrangement):
-            base = offsets[ci]
-            for i, v in enumerate(arranged):
-                pos[v] = base + i
-        key = 0
-        for u, v in edge_list:
-            i, j = pos[u], pos[v]
-            if i > j:
-                i, j = j, i
-            key |= 1 << (j * (j - 1) // 2 + i)
-        if best is None or key < best:
-            best = key
-    return g.n, best if best is not None else 0
-

@@ -12,7 +12,6 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from domdensity.catalog import connected_bipartite_graphs, connected_graphs
 from domdensity.criteria import (
     REFERENCE_NK,
     bipartition_upper_bound,
@@ -25,7 +24,6 @@ from domdensity.criteria import (
 from domdensity.domination import (
     GammaCache,
     check_vizing,
-    gamma_brute,
     gamma_exact,
     gamma_value,
     is_dominating,
@@ -46,6 +44,7 @@ from domdensity.transform import (
     iterate_leaves,
 )
 from conftest import random_connected_bipartite
+from support import connected_bipartite_graphs, connected_graphs, gamma_brute
 from test_rankcheck import naive_rank
 
 
@@ -101,7 +100,7 @@ def test_criterion_03_block_form_example(block6_matrix, cache):
 
 def test_criterion_04_small_balanced_cases():
     started = time.perf_counter()
-    from domdensity.enumeration import unique_form_matrix
+    from support import unique_form_matrix
     cells = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5),
              (3, 5), (4, 6), (5, 7), (6, 8)]  # (k, n)
     for k, n in cells:

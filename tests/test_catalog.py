@@ -3,9 +3,8 @@ the published class counts above that."""
 
 import pytest
 
-from domdensity.catalog import all_graphs, connected_bipartite_graphs, connected_graphs
-from domdensity.errors import CapacityError
 from domdensity.graphs import bipartition, is_connected
+from support import all_graphs, connected_bipartite_graphs, connected_graphs
 
 
 def _orbit_count(n: int) -> int:
@@ -74,8 +73,3 @@ def test_bipartite_filter_agrees():
     for n in range(1, 7):
         expected = [g for g in connected_graphs(n) if bipartition(g) is not None]
         assert list(connected_bipartite_graphs(n)) == expected
-
-
-def test_capacity_guard():
-    with pytest.raises(CapacityError):
-        all_graphs(9)

@@ -13,7 +13,6 @@ import pytest
 
 import domdensity
 from domdensity import cli, enumeration, transform
-from domdensity.catalog import connected_bipartite_graphs
 from domdensity.cli import (
     EXIT_CAPACITY,
     EXIT_FINDING,
@@ -24,8 +23,9 @@ from domdensity.cli import (
 )
 from domdensity.domination import _Search
 from domdensity.errors import CapacityError, ParseError
-from domdensity.graphs import MAX_VERTICES, emit_graph6, path_graph, star
+from domdensity.graphs import MAX_VERTICES, emit_graph6
 from conftest import RANK6_ROWS
+from support import connected_bipartite_graphs, path_graph, star
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 

@@ -21,16 +21,9 @@ from domdensity.criteria import (
 from domdensity.domination import check_vizing, gamma_value
 from domdensity.enumeration import to_graph
 from domdensity.errors import PreconditionError
-from domdensity.graphs import (
-    bipartition,
-    complete_bipartite,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    max_degree,
-    star,
-)
+from domdensity.graphs import bipartition, max_degree
 from conftest import random_connected_bipartite
+from support import complete_bipartite, cycle_graph, disjoint_union, empty_graph, star
 
 
 class TestElementaryBounds:

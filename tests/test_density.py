@@ -5,26 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from domdensity.catalog import connected_graphs
 from domdensity.criteria import min_threshold_order
 from domdensity.density import density_vizing_check
 from domdensity.domination import check_vizing, gamma_value
 from domdensity.enumeration import to_graph
-from domdensity.graphs import (
-    bipartition,
-    cartesian_product,
-    complete_bipartite,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    max_degree,
-)
+from domdensity.graphs import bipartition, cartesian_product, max_degree
 from domdensity.transform import (
     constructive_inequality_check,
     evaluate_hypothesis,
     iterate_leaves,
 )
 from conftest import random_graph
+from support import (
+    complete_bipartite,
+    connected_graphs,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+)
 
 
 def test_report_records_are_immutable():

@@ -10,15 +10,12 @@ from operator import or_
 import pytest
 
 from domdensity import domination
-from domdensity.catalog import all_graphs
 from domdensity.domination import (
-    BRUTE_FORCE_LIMIT,
     GammaCache,
     _Search,
     _automorphism,
     check_vizing,
     closed_neighborhoods,
-    gamma_brute,
     gamma_exact,
     gamma_value,
     is_dominating,
@@ -29,17 +26,22 @@ from domdensity.graphs import (
     attach_leaves,
     bit_list,
     cartesian_product,
+    from_edges,
+    graph_key,
+)
+from conftest import random_graph
+from support import (
+    BRUTE_FORCE_LIMIT,
+    all_graphs,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    from_edges,
-    graph_key,
+    gamma_brute,
     path_graph,
     star,
 )
-from conftest import random_graph
 
 
 def witness_oracle_graphs():
@@ -84,10 +86,6 @@ class TestGammaBrute:
 
     def test_edgeless(self):
         assert gamma_brute(empty_graph(6)) == 6
-
-    def test_size_guard(self):
-        with pytest.raises(CapacityError):
-            gamma_brute(empty_graph(25))
 
 
 class TestGammaExact:
@@ -787,7 +785,7 @@ class TestGammaCache:
 
 def test_product_inequality_sampled_pairs_to_6():
     # the known-true regime one size above the exhaustive acceptance sweep
-    from domdensity.catalog import connected_graphs
+    from support import connected_graphs
     rng = random.Random(313)
     pool = [g for n in range(1, 7) for g in connected_graphs(n)]
     for _ in range(200):

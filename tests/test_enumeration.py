@@ -9,7 +9,7 @@ import pytest
 
 from domdensity import enumeration
 from domdensity.cli import load_graph_text
-from domdensity.domination import gamma_brute, gamma_value
+from domdensity.domination import gamma_value
 from domdensity.enumeration import (
     SCAN_RECORD_FIELDS,
     BiadjacencyMatrix,
@@ -21,12 +21,12 @@ from domdensity.enumeration import (
     is_unique_form,
     record_findings,
     to_graph,
-    unique_form_matrix,
 )
 from domdensity.errors import CapacityError, ParseError, PreconditionError
 from domdensity.graphs import bipartition
 from domdensity.rankcheck import obstruction_report
 from conftest import BLOCK6_ROWS, RANK6_ROWS
+from support import gamma_brute, unique_form_matrix
 
 # (n, k) -> (class count, sha256 of the sorted canonical keys joined by
 # newlines), taken from the generator that canonically keyed every

@@ -2,10 +2,12 @@
 leaf attachment."""
 
 import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 
-from domdensity.catalog import all_graphs
 from domdensity.cli import load_graph_text
 from domdensity.errors import CapacityError, ParseError
 from domdensity.graphs import (
@@ -13,23 +15,27 @@ from domdensity.graphs import (
     Graph,
     attach_leaves,
     bipartition,
-    canonical_form,
     cartesian_product,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
+    covering_subsets,
     emit_graph6,
-    empty_graph,
     from_edges,
     graph_key,
     is_connected,
     max_degree,
     parse_graph6,
+)
+from conftest import RANK6_ROWS, random_graph
+from support import (
+    all_graphs,
+    canonical_form,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
     path_graph,
     star,
 )
-from conftest import RANK6_ROWS, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +453,6 @@ class TestCanonicalForm:
         assert canonical_form(cycle_graph(6)) != canonical_form(
             disjoint_union(cycle_graph(3), cycle_graph(3)))
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            canonical_form(empty_graph(11))
-
 
 def test_max_degree_values():
     assert max_degree(complete_bipartite(3, 3)) == 3
@@ -465,3 +467,17 @@ def test_is_connected():
     assert not is_connected(disjoint_union(path_graph(2), path_graph(2)))
     assert is_connected(empty_graph(1))
     assert not is_connected(empty_graph(2))
+
+
+def test_covering_subsets_matches_combinations_oracle():
+    # Zero and repeated masks, size 0, and sizes above len(masks) included;
+    # the hits come in combinations order.
+    rng = random.Random(41)
+    for _ in range(300):
+        full = (1 << rng.randrange(0, 6)) - 1
+        pool = [0, full] + [rng.randrange(full + 1) for _ in range(3)]
+        masks = [rng.choice(pool) for _ in range(rng.randrange(0, 8))]
+        for size in range(len(masks) + 2):
+            expected = [combo for combo in combinations(range(len(masks)), size)
+                        if reduce(or_, (masks[i] for i in combo), 0) == full]
+            assert list(covering_subsets(masks, size, full)) == expected

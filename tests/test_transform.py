@@ -7,10 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from domdensity.catalog import connected_bipartite_graphs, connected_graphs
 from domdensity.domination import (
     closed_neighborhoods,
-    gamma_brute,
     gamma_exact,
     gamma_value,
     is_dominating,
@@ -20,18 +18,23 @@ from domdensity.graphs import (
     attach_leaves,
     bipartition,
     cartesian_product,
-    complete_bipartite,
     covering_subsets,
-    cycle_graph,
     max_degree,
-    path_graph,
-    star,
 )
 from domdensity.transform import (
     constructive_inequality_check,
     evaluate_hypothesis,
     iterate_leaves,
     m_star,
+)
+from support import (
+    complete_bipartite,
+    connected_bipartite_graphs,
+    connected_graphs,
+    cycle_graph,
+    gamma_brute,
+    path_graph,
+    star,
 )
 
 
