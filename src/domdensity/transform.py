@@ -1,16 +1,19 @@
 """Leaf-attachment transforms toward the imbalance regime.
 
-A minimum dominating set splits across the two sides of a bipartition; when
-one side's proportion of dominating vertices reaches the density of the
-partner graph, attaching one leaf per vertex of a minimal escalation subset
-S grows the opposite side by |S| per round while the degree term grows by
-at most one.  Since |S|/|X| strictly exceeds the partner density, the
-imbalance criterion fires after finitely many rounds, and the whole time
-the domination number stays fixed (leaves hang off dominating vertices).
+A minimum dominating set splits across the two sides of a bipartition.  On
+a side X of size x, against the partner density rho, the hypothesis gate
+is the non-strict count ceil(x rho) and the escalation size is the strict
+m* = floor(x rho) + 1, the least s with s / x > rho; a set that meets the
+gate with fewer than m* vertices on X (exactly x rho of them) is only
+noted.  Attaching one leaf per vertex of an escalation subset S, m* of a
+set's vertices on X, grows the opposite side by m* per round while the
+degree term grows by at most one, so the imbalance criterion fires after
+finitely many rounds, and the whole time the domination number stays
+fixed (leaves hang off dominating vertices).
 
 The driver records every round so the accounting above is checkable, and
 evaluates the constructive inequality
-gamma(G box H) + m_star * |V(H)| >= gamma(G) gamma(H) term by term.
+gamma(G box H) + m* |V(H)| >= gamma(G) gamma(H) term by term.
 """
 
 from __future__ import annotations
@@ -39,30 +42,16 @@ from .graphs import (
 MAX_SWEEP_SUBSETS = 1_000_000
 
 
-def m_star(x_size: int, dx_size: int, rho_h: Fraction) -> int | None:
-    """Smallest s with s / x_size strictly above rho_h, if s <= dx_size.
-
-    Strict inequality matches the escalation-subset definition; the
-    hypothesis gate elsewhere is non-strict, and the two can disagree
-    exactly at equality.
-    """
-    if x_size < 1 or not 0 <= dx_size <= x_size:
-        raise PreconditionError("need 0 <= dx_size <= x_size with x_size >= 1")
-    if rho_h < 0:
-        raise PreconditionError("negative density")
-    s = floor(x_size * rho_h) + 1
-    return s if s <= dx_size else None
-
-
 class HypothesisReport(NamedTuple):
     """Outcome of the side-proportion hypothesis over minimum dominating sets.
 
-    ``gate_met`` is the non-strict proportion test on some side.  The chosen
-    split is the (set, side) with the smallest m_star that admits a strict
-    escalation subset (ties toward side A, then the smallest set mask):
-    ``side``, its size, ``d_in_side`` (the set's vertices on it, as a mask)
-    and ``m_star``, all None when no split is usable.
-    ``equality_flagged`` marks the gate/strictness disagreement.
+    ``gate_met`` says some set meets the gate ceil(x rho_h) on some side,
+    and ``equality_flagged`` that some set met it with fewer than m* =
+    floor(x rho_h) + 1 vertices there.  The chosen split is the (set, side)
+    with the smallest m* that the set reaches (ties toward side A, then the
+    smallest set mask): ``side``, its size, ``d_in_side`` (the set's
+    vertices on it, as a mask) and ``m_star``, all None when no split is
+    usable.
     """
 
     rho_h: Fraction
@@ -81,28 +70,31 @@ class HypothesisReport(NamedTuple):
 
 def evaluate_hypothesis(bg: BipartiteGraph, rho_h: Fraction,
                         cache: GammaCache | None = None) -> HypothesisReport:
+    """Sweep every minimum dominating set of ``bg`` against ``rho_h >= 0``.
+    The gate and m* depend only on the side, so each is fixed once per
+    non-empty side, and a set is judged by its count there alone."""
     gamma = gamma_value(bg.graph, cache)
     subsets = comb(bg.graph.n, gamma)
     if subsets > MAX_SWEEP_SUBSETS:
         raise CapacityError(
             f"the hypothesis sweep would try C({bg.graph.n}, {gamma}) = {subsets}"
             f" vertex subsets, above {MAX_SWEEP_SUBSETS}")
+    sides = [(side, side_mask, ceil(x * rho_h), floor(x * rho_h) + 1, x)
+             for side, side_mask in (("A", bg.side_a), ("B", bg.side_b))
+             if (x := side_mask.bit_count())]
     gate_met = equality_flagged = False
-    # (m_star, side, set mask, side size, set on the side); "A" sorts first
+    # (m*, side, set mask, side size, set on the side); "A" sorts first
     best = None
     for combo in covering_subsets(closed_neighborhoods(bg.graph), gamma,
                                   bg.graph.vertex_mask):
         mask = sum(1 << v for v in combo)
-        for side, side_mask in (("A", bg.side_a), ("B", bg.side_b)):
-            size = side_mask.bit_count()
-            if size == 0:
-                continue
+        for side, side_mask, gate, ms, size in sides:
             d_in = mask & side_mask
-            if Fraction(d_in.bit_count(), size) < rho_h:
+            count = d_in.bit_count()
+            if count < gate:
                 continue
             gate_met = True
-            ms = m_star(size, d_in.bit_count(), rho_h)
-            if ms is None:
+            if count < ms:
                 equality_flagged = True
             elif best is None or (ms, side, mask) < best[:3]:
                 best = (ms, side, mask, size, d_in)

@@ -8,6 +8,11 @@ increasing size order on ``itertools.combinations``.  It shares no code
 with the solver, nor with ``graphs.covering_subsets``, the scan that
 ``transform`` and ``rankcheck`` read, so it checks that scan too.
 
+``hypothesis_oracle`` is ``transform.evaluate_hypothesis`` by its
+definition: every minimum dominating set from the same enumeration, judged
+per (set, side) by the ``Fraction`` gate and by m* found as the least s
+with s / x strictly above the density, by linear search.
+
 The catalogues are built by one-vertex extension with canonical-form dedup:
 every isomorphism class on n vertices arises from some class on n-1
 vertices plus one new neighbourhood, so the construction is exhaustive.
@@ -15,13 +20,22 @@ vertices plus one new neighbourhood, so the construction is exhaustive.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 from operator import or_
 
 from domdensity.enumeration import BiadjacencyMatrix
 from domdensity.errors import PreconditionError
-from domdensity.graphs import Graph, bipartition, from_edges, is_connected, iter_bits
+from domdensity.graphs import (
+    BipartiteGraph,
+    Graph,
+    bipartition,
+    from_edges,
+    is_connected,
+    iter_bits,
+)
+from domdensity.transform import HypothesisReport
 
 # The largest order the suites hand to gamma_brute.
 BRUTE_FORCE_LIMIT = 24
@@ -71,13 +85,47 @@ def unique_form_matrix(n: int) -> BiadjacencyMatrix:
     return BiadjacencyMatrix(n, n - 2, rows)
 
 
-def gamma_brute(g: Graph) -> int:
-    """The least size of a vertex set whose closed neighbourhoods cover V(g)."""
+def _dominating_sets(g: Graph, size: int):
+    """Each vertex set of ``size``, in ``combinations`` order, whose closed
+    neighbourhoods cover V(g), as a bitmask."""
     closed = [nb | 1 << v for v, nb in enumerate(g.neighbors)]
     full = (1 << g.n) - 1
+    for combo in combinations(range(g.n), size):
+        if reduce(or_, (closed[v] for v in combo), 0) == full:
+            yield sum(1 << v for v in combo)
+
+
+def gamma_brute(g: Graph) -> int:
+    """The least size of a vertex set whose closed neighbourhoods cover V(g)."""
     return next(size for size in range(g.n + 1)
-                if any(reduce(or_, (closed[v] for v in combo), 0) == full
-                       for combo in combinations(range(g.n), size)))
+                if next(_dominating_sets(g, size), None) is not None)
+
+
+def m_star_oracle(x: int, rho_h: Fraction) -> int:
+    """The least s with s / x strictly above ``rho_h``, by linear search."""
+    return next(s for s in count() if Fraction(s, x) > rho_h)
+
+
+def hypothesis_oracle(bg: BipartiteGraph, rho_h: Fraction) -> HypothesisReport:
+    """``evaluate_hypothesis`` judged per (minimum dominating set, side)."""
+    gamma = gamma_brute(bg.graph)
+    gate_met = equality_flagged = False
+    splits = []
+    for mask in _dominating_sets(bg.graph, gamma):
+        for side, side_mask in (("A", bg.side_a), ("B", bg.side_b)):
+            x = side_mask.bit_count()
+            d_in = mask & side_mask
+            if x == 0 or Fraction(d_in.bit_count(), x) < rho_h:
+                continue
+            gate_met = True
+            ms = m_star_oracle(x, rho_h)
+            if ms > d_in.bit_count():
+                equality_flagged = True
+            else:
+                splits.append((ms, side, mask, x, d_in))
+    ms, side, _, x, d_in = min(splits, default=(None,) * 5)
+    return HypothesisReport(rho_h, gamma, gate_met, equality_flagged,
+                            side, x, d_in, ms)
 
 
 def _refined_colors(g: Graph) -> list[int]:

@@ -488,22 +488,36 @@ class TestTransform:
         assert err.startswith("capacity: the hypothesis sweep would try"
                               " C(30, 10) = 30045015 vertex subsets")
 
-    # sha256 of the json records of every connected bipartite graph with
-    # 2 <= n <= 6, in catalogue order, each at four densities.
-    def test_small_graph_records_are_pinned(self, tmp_path, capsys):
+    @staticmethod
+    def _small_graph_digest(tmp_path, capsys, densities, formats):
+        """sha256 of the stdout of every connected bipartite graph with
+        2 <= n <= 6, in catalogue order, at each density in each format."""
         digest = hashlib.sha256()
         for n in range(2, 7):
             for i, g in enumerate(connected_bipartite_graphs(n)):
                 path = tmp_path / f"g{n}_{i}.g6"
                 path.write_text(emit_graph6(g) + "\n")
-                for rho_h in ("1/3", "2/5", "1/2", "1"):
-                    assert main(["transform", str(path), "--rho-h", rho_h,
-                                 "--delta-h", "2", "--format", "json"]) == EXIT_OK
-                    out, err = capsys.readouterr()
-                    assert err == ""
-                    digest.update(out.encode())
-        assert digest.hexdigest() == \
+                for rho_h in densities:
+                    for fmt in formats:
+                        assert main(["transform", str(path), "--rho-h", rho_h,
+                                     "--delta-h", "2", "--format", fmt]) == EXIT_OK
+                        out, err = capsys.readouterr()
+                        assert err == ""
+                        digest.update(out.encode())
+        return digest.hexdigest()
+
+    def test_small_graph_records_are_pinned(self, tmp_path, capsys):
+        assert self._small_graph_digest(
+            tmp_path, capsys, ("1/3", "2/5", "1/2", "1"), ("json",)) == \
             "e205c72da78332e648588f452aa8a19cc93647b8df84d2cc1e5c2cb4df38b759"
+
+    # Densities where |X| rho is an integer on sides of 3, 4 and 6 vertices:
+    # the gate and m* differ by one there, and the equality note can fire.
+    def test_small_graph_boundary_records_are_pinned(self, tmp_path, capsys):
+        assert self._small_graph_digest(
+            tmp_path, capsys, ("1/4", "2/3", "3/4", "1/6", "5/6"),
+            ("json", "text")) == \
+            "3bf72294569613347802b78d3fa9fa86ed9facbf87f48c1bdb0653fafcd404f7"
 
     def test_hypothesis_not_met_still_exit_0(self, tmp_path, capsys):
         k33 = tmp_path / "k33.edges"

@@ -128,7 +128,7 @@ PUBLIC_WITHOUT_SRC_READER = {
     "BiadjacencyMatrix.to_text",
     # acceptance criterion 10 reads it
     "ObstructionReport.implication_holds",
-    # ROADMAP item 3 gives it a CLI caller
+    # ROADMAP item 8 gives it a CLI caller
     "finite_remainder",
 }
 

@@ -13,7 +13,7 @@ from domdensity.domination import (
     gamma_value,
     is_dominating,
 )
-from domdensity.errors import CapacityError, PreconditionError
+from domdensity.errors import CapacityError
 from domdensity.graphs import (
     attach_leaves,
     bipartition,
@@ -25,7 +25,6 @@ from domdensity.transform import (
     constructive_inequality_check,
     evaluate_hypothesis,
     iterate_leaves,
-    m_star,
 )
 from support import (
     complete_bipartite,
@@ -33,6 +32,8 @@ from support import (
     connected_graphs,
     cycle_graph,
     gamma_brute,
+    hypothesis_oracle,
+    m_star_oracle,
     path_graph,
     star,
 )
@@ -45,28 +46,30 @@ def partner_terms(bg, h):
     return gamma_h, evaluate_hypothesis(bg, Fraction(gamma_h, h.n))
 
 
-class TestMStar:
-    def test_smallest_strict_fraction(self):
-        assert m_star(6, 3, Fraction(1, 3)) == 3
-
-    def test_zero_density_degenerate_guard(self):
-        assert m_star(6, 1, Fraction(0)) == 1
-
-    def test_absent_when_subset_too_small(self):
-        assert m_star(6, 1, Fraction(1, 2)) is None
-
-    def test_exact_boundary_needs_strictly_more(self):
-        assert m_star(4, 2, Fraction(1, 2)) is None  # needs 3 > 2 available
-        assert m_star(4, 3, Fraction(1, 2)) == 3
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            m_star(0, 0, Fraction(1, 2))
-        with pytest.raises(PreconditionError):
-            m_star(3, 4, Fraction(1, 2))
-
-
 class TestHypothesis:
+    # P8's sides have 4 vertices and every minimum set at most 2 on either:
+    # at 1/2 that meets the gate 2 but not m* = 3, which is strictly above.
+    def test_exact_boundary_needs_strictly_more(self):
+        bg = bipartition(path_graph(8))
+        hyp = evaluate_hypothesis(bg, Fraction(1, 2))
+        assert hyp.gate_met and hyp.equality_flagged and not hyp.usable
+        hyp = evaluate_hypothesis(bg, Fraction(2, 5))
+        assert hyp.m_star == 2 and not hyp.equality_flagged
+
+    # At rho = 0 every set meets the gate 0 and m* is 1, not 0: the centre
+    # of K_{1,3} is a split, and the empty leaf side is only flagged.
+    def test_zero_density_needs_one_vertex(self):
+        hyp = evaluate_hypothesis(bipartition(star(3)), Fraction(0))
+        assert hyp.gate_met and hyp.equality_flagged
+        assert (hyp.side, hyp.side_size, hyp.d_in_side, hyp.m_star) == ("A", 1, 1, 1)
+
+    # C6 at 2/5: each minimum set has 1 of 3 vertices on a side, short of
+    # both the gate ceil(6/5) = 2 and m* = 2.
+    def test_set_too_small_for_m_star(self):
+        hyp = evaluate_hypothesis(bipartition(cycle_graph(6)), Fraction(2, 5))
+        assert not hyp.gate_met and not hyp.equality_flagged
+        assert not hyp.usable
+
     def test_c4_at_half_density(self):
         bg = bipartition(cycle_graph(4))
         hyp = evaluate_hypothesis(bg, Fraction(1, 2))
@@ -111,13 +114,29 @@ class TestHypothesis:
             if not is_dominating(g, mask):
                 continue
             for side, side_mask in (("A", bg.side_a), ("B", bg.side_b)):
-                ms = m_star(side_mask.bit_count(), (mask & side_mask).bit_count(),
-                            rho_h)
-                if ms is not None:
+                ms = m_star_oracle(side_mask.bit_count(), rho_h)
+                if ms <= (mask & side_mask).bit_count():
                     splits.append((ms, side, mask, mask & side_mask))
         ms, side, _, d_in = min(splits)
         hyp = evaluate_hypothesis(bg, rho_h)
         assert (hyp.gamma, hyp.m_star, hyp.side, hyp.d_in_side) == (gamma, ms, side, d_in)
+
+    # The per-side gate and m* against the per-set rule of the oracle, on
+    # every density with a small denominator, zero and the boundaries where
+    # |X| rho is an integer included.  The graphs are built when the test
+    # runs, not when it is collected.
+    @pytest.mark.parametrize("graphs, max_q", [
+        (lambda: [g for n in range(2, 8) for g in connected_bipartite_graphs(n)], 7),
+        (lambda: [path_graph(n) for n in range(2, 17)]
+         + [cycle_graph(n) for n in range(4, 17, 2)], 5),
+    ], ids=["catalogue-2-7", "paths-cycles"])
+    def test_report_matches_the_oracle(self, graphs, max_q):
+        densities = sorted({Fraction(p, q) for q in range(1, max_q + 1)
+                            for p in range(q + 1)})
+        for g in graphs():
+            bg = bipartition(g)
+            for rho_h in densities:
+                assert evaluate_hypothesis(bg, rho_h) == hypothesis_oracle(bg, rho_h)
 
     def test_sweep_over_the_subset_cap_is_refused(self):
         # C(30, 10) = 30,045,015 subsets of P30
