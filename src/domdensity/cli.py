@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -360,6 +359,8 @@ def cmd_transform(args) -> int:
         raise ParseError(f"--delta-h must be at least 0, not {args.delta_h}")
     if [args.rho_h, args.delta_h].count(None) != (2 if args.h else 0):
         raise ParseError("need either --h FILE or both --rho-h and --delta-h")
+    from fractions import Fraction  # only here: scan and gamma build none
+
     if not args.h:
         delta_h = args.delta_h
         try:

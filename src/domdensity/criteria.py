@@ -9,11 +9,13 @@ cells.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, is_connected, max_degree
+
+if TYPE_CHECKING:  # loaded by the functions that build one: scan never does
+    from fractions import Fraction
 
 
 class CriterionVerdict(NamedTuple):
@@ -77,6 +79,8 @@ def imbalance_criterion(bg_g: BipartiteGraph, bg_h: BipartiteGraph) -> Criterion
     """
     if bg_g.size_a == 0 or bg_h.size_a == 0:
         raise PreconditionError("degenerate bipartition with empty side A")
+    from fractions import Fraction
+
     lhs = (1 + Fraction(bg_g.size_b, bg_g.size_a)) * (1 + Fraction(bg_h.size_b, bg_h.size_a))
     rhs = Fraction(max_degree(bg_g.graph) + max_degree(bg_h.graph) + 1)
     return _verdict("imbalance", lhs, rhs, _hypothesis_note(bg_g.graph, bg_h.graph))
@@ -93,6 +97,8 @@ def imbalance_vs_arbitrary(order: int, side: int, delta_g: int, delta_h: int,
         raise PreconditionError("degenerate bipartition with empty side X")
     if delta_h < 0:
         raise PreconditionError("negative maximum degree")
+    from fractions import Fraction
+
     return _verdict("imbalance-arbitrary", Fraction(order, side),
                     (delta_g + delta_h + 1) * rho_h, note)
 
@@ -112,6 +118,8 @@ def threshold_condition(k: int, n_g: int, n_h: int) -> CriterionVerdict:
     """
     if k < 1 or n_g < k or n_h < k:
         raise PreconditionError("need k >= 1 and both orders >= k")
+    from fractions import Fraction
+
     lhs = Fraction(1, 2 * k + 1)
     rhs = (Fraction(1, k) + Fraction(1, n_g)) * (Fraction(1, k) + Fraction(1, n_h))
     return _verdict("k-regular-threshold", lhs, rhs)

@@ -1,15 +1,13 @@
 """Exact rational domination densities.
 
-All inequality decisions in the toolkit happen on ``fractions.Fraction``;
-floats only ever appear in human-readable rendering, next to the exact
-value.  The density form of the product inequality is decided from the
-domination numbers a ``VizingReport`` already holds, so no graph is solved
-twice.
+All inequality decisions in the toolkit happen in exact arithmetic:
+integers or ``fractions.Fraction``; floats only ever appear in
+human-readable rendering, next to the exact value.  The density form of
+the product inequality is decided from the domination numbers a
+``VizingReport`` already holds, so no graph is solved twice.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .domination import VizingReport
 from .graphs import Graph
@@ -24,6 +22,8 @@ def density_vizing_check(g: Graph, h: Graph, report: VizingReport) -> bool:
     ``report.holds`` in the test suite (exact arithmetic makes the
     equivalence literally testable).
     """
+    from fractions import Fraction
+
     rho_p = Fraction(report.gamma_product, g.n * h.n)
     return rho_p >= Fraction(report.gamma_g, g.n) * Fraction(report.gamma_h, h.n)
 

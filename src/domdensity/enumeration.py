@@ -18,6 +18,14 @@ over its unplaced ones packed into the lowest free positions.  These bound
 the final rows elementwise, and elementwise >= implies sorted >=, so their
 sorted vector bounds every member below the node.
 
+A cell with 2k < n, the sparse half, is enumerated through its complement:
+complementing every entry maps the classes of (n, k) one to one onto those
+of (n, n - k), whose generator tests several times fewer complete matrices
+((8, 5) tests 1,112, (8, 3) 4,070).  Each complement class is keyed by one
+unseeded search, and the sorted keys give the members in the same order.
+The trade-off is latency: a sparse cell yields its first class only after
+its whole complement cell is enumerated and keyed.
+
 This module is the one place a class is evaluated.  ``class_record``
 gives its complete scan record: exact gamma, the conjectured bound
 2*ceil(n/k), the order bound 2r, the n = k + 2 structure tag, and the
@@ -131,6 +139,7 @@ def canonical_key(m: BiadjacencyMatrix, below: Sequence[int] | None = None) -> s
     best: list[int] | None = None if below is None else list(below)
     visited: set[tuple] = set()
     memo_floor = n - 4  # dedup only near the root, where a hit prunes most
+    # The memo stays: without it enumerating (8, 7) takes 115 ms, not 0.5 ms.
 
     def descend(bounds: list[int], remaining: tuple[int, ...], pos: int) -> bool:
         # bounds[r]: row r's placed bits over its lowest fill at 0..pos.
@@ -142,11 +151,14 @@ def canonical_key(m: BiadjacencyMatrix, below: Sequence[int] | None = None) -> s
             return below is not None
         if pos >= memo_floor:
             # Row-permutation-invariant fingerprint: a row matters only
-            # through its value and its memberships among unplaced columns.
-            # Automorphic branches collide here and are walked once.
-            state = tuple(sorted(
-                (bounds[r],) + tuple(c >> r & 1 for c in remaining)
-                for r in range(n)))
+            # through its value and its memberships among unplaced columns
+            # (bit i of member[r]: row r is in remaining[i]).  Automorphic
+            # branches collide here and are walked once.
+            member = [0] * n
+            for i, col in enumerate(remaining):
+                for r in rows_of[col]:
+                    member[r] |= 1 << i
+            state = tuple(sorted(zip(bounds, member)))
             if state in visited:
                 return False
             visited.add(state)
@@ -192,6 +204,34 @@ def enumerate_kreg(n: int, k: int) -> Iterator[BiadjacencyMatrix]:
     """Yield the V-minimal member of every row/column-permutation class,
     in increasing V order, where V(M) is the tuple of row masks, row 0 first.
 
+    A cell with 2k < n is enumerated as (n, n - k); each class is
+    complemented and keyed unseeded, and the V-minimal members, read off the
+    sorted keys, are yielded once the whole complement cell is keyed.  Every
+    other cell comes from ``_enumerate_direct``.  Capped at
+    n <= ``SCAN_CAP``.
+    """
+    if not 1 <= k <= n:
+        raise PreconditionError("need 1 <= k <= n")
+    if n > SCAN_CAP:
+        raise CapacityError(f"enumeration capped at n <= {SCAN_CAP}")
+    if 2 * k >= n:
+        yield from _enumerate_direct(n, k)
+        return
+    full = (1 << n) - 1
+    width = (n + 3) // 4
+    minimal = []
+    for m in _enumerate_direct(n, n - k):
+        key = canonical_key(BiadjacencyMatrix(n, k, tuple(full ^ r for r in m.rows)))
+        hexrows = key[-n * width:]
+        minimal.append(tuple(int(hexrows[i:i + width], 16)
+                             for i in range(0, n * width, width)))
+    for rows in sorted(minimal):
+        yield BiadjacencyMatrix(n, k, rows)
+
+
+def _enumerate_direct(n: int, k: int) -> Iterator[BiadjacencyMatrix]:
+    """``enumerate_kreg`` by direct generation, for a checked cell.
+
     Rows are placed in nondecreasing mask order starting from the forced
     minimum row (the k lowest columns), with column-sum feasibility pruning.
     The column condition (Lubiw 1987; Flener et al. 2002) cuts the rest: read
@@ -209,14 +249,8 @@ def enumerate_kreg(n: int, k: int) -> Iterator[BiadjacencyMatrix]:
     its class to appear.  It is the only member that no column permutation
     lowers, which is how duplicates are dropped: ``canonical_key`` runs
     seeded with the matrix's own rows and stops at the first member below
-    them, instead of searching for the whole minimum.  Capped at
-    n <= ``SCAN_CAP``.
+    them, instead of searching for the whole minimum.
     """
-    if not 1 <= k <= n:
-        raise PreconditionError("need 1 <= k <= n")
-    if n > SCAN_CAP:
-        raise CapacityError(f"enumeration capped at n <= {SCAN_CAP}")
-
     candidates = [
         sum(1 << j for j in combo) for combo in combinations(range(n), k)
     ]

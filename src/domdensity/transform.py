@@ -18,9 +18,8 @@ gamma(G box H) + m* |V(H)| >= gamma(G) gamma(H) term by term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, comb, floor
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .criteria import imbalance_vs_arbitrary
 from .domination import GammaCache, closed_neighborhoods, gamma_value
@@ -36,6 +35,9 @@ from .graphs import (
     graph_key,
     max_degree,
 )
+
+if TYPE_CHECKING:  # loaded by the functions that build one
+    from fractions import Fraction
 
 # The hypothesis sweep tries C(n, gamma) vertex subsets, about 2.5 million a
 # second on a 2-core host (C24: 735,471 subsets in about 0.3 s).
@@ -212,6 +214,8 @@ def iterate_leaves(bg: BipartiteGraph, h_delta: int, hyp: HypothesisReport,
     gamma0 = hyp.gamma
     note = "denominator fixed to the chosen side X"
     verdict = imbalance_vs_arbitrary(g.n, x_size, max_degree(g), h_delta, r, note)
+    from fractions import Fraction
+
     gap = Fraction(m, x_size) - r
     bound = 0 if verdict.satisfied else ceil((verdict.rhs - verdict.lhs) / gap) + 1
     last = max(bound - 1, 0)

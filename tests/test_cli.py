@@ -330,8 +330,20 @@ class TestScan:
     # Lines a format writes before its first record: the csv header.
     @pytest.mark.parametrize("fmt, head", [("json", 0), ("text", 0), ("csv", 1)])
     def test_each_record_is_written_as_its_class_is_scanned(
-            self, tmp_path, capsys, monkeypatch, fmt, head):
-        argv = ["scan", "6", "3", "--format", fmt, "--output"]
+            self, tmp_path, monkeypatch, fmt, head):
+        self._kill_at_second_class_then_rerun(tmp_path, monkeypatch, "6", "3",
+                                              fmt, head)
+
+    # (7, 2) is a sparse cell, enumerated through its complement (7, 5).
+    @pytest.mark.parametrize("fmt, head", [("json", 0), ("text", 0), ("csv", 1)])
+    def test_each_sparse_record_is_written_as_its_class_is_scanned(
+            self, tmp_path, monkeypatch, fmt, head):
+        self._kill_at_second_class_then_rerun(tmp_path, monkeypatch, "7", "2",
+                                              fmt, head)
+
+    @staticmethod
+    def _kill_at_second_class_then_rerun(tmp_path, monkeypatch, n, k, fmt, head):
+        argv = ["scan", n, k, "--format", fmt, "--output"]
         full = tmp_path / "full.out"
         assert main(argv + [str(full)]) == EXIT_OK
         part = tmp_path / "part.out"
@@ -402,6 +414,22 @@ class TestScan:
          "6c75f77b797fe7290c679d061f17baf31af7ae16276043294bb03fc48af8a80d"),
         (6, 4, "text", EXIT_OK,
          "ecdc5bef0a39198bf95df9e42b8e7203457bbe1962e915557ef4cf6ee217fd7a", EMPTY),
+        # sparse cells, enumerated through their complements (7, 5) and
+        # (8, 5); the digests are of the direct generator's output
+        (7, 2, "json", EXIT_OK,
+         "3806b09ad07c0ae0bfa6ba47ec54c176609fdf3046f24ad1d5a8c0013617d0e4", EMPTY),
+        (7, 2, "csv", EXIT_OK,
+         "81b9344da536a92817bfa2cb18f30368ea86e9c8d7da5424af169ce45ff2a738",
+         "d04b88531afd5361f62304a667399dad80c2bc364b28ea1f2c2dd08cdcb7f31c"),
+        (7, 2, "text", EXIT_OK,
+         "0037521d3e2a7647717604edd845155f4d9144a0f9a6592ef5870e9d7122c607", EMPTY),
+        (8, 3, "json", EXIT_OK,
+         "b83e4a053729a2a6e506f0ead3ad5943187ee4c55319444a6dc65f8941126016", EMPTY),
+        (8, 3, "csv", EXIT_OK,
+         "98915da583a4e387482975d0effac33eb4a12cce11f8c2d6e5a95368b10658e3",
+         "53c1e72cc926d52ae9abdd4ca999b7cda16193de7266fcc0ec05e7a739d6cc43"),
+        (8, 3, "text", EXIT_OK,
+         "0e4b023d35da20014aa8dc6b9934d7f9e22766c61d83ac760a789cf3704002a5", EMPTY),
     ])
     def test_scan_output_is_pinned(self, capsys, n, k, fmt, status, out, err):
         assert main(["scan", str(n), str(k), "--format", fmt]) == status

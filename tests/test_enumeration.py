@@ -325,8 +325,10 @@ class TestEnumerate:
 
     def test_each_self_minimality_decision_against_min_over_all_permutations(
             self, monkeypatch):
-        # every complete matrix the generator tests, n <= 6: kept iff its
-        # rows are the least sorted rows over its class's column orders
+        # every complete matrix the direct generator tests, on every cell
+        # with n <= 6, sparse ones included: kept iff its rows are the least
+        # sorted rows over its class's column orders.  Only the direct
+        # generator seeds the search; the complement route keys unseeded.
         decisions = []
 
         def recorded(m, below=None):
@@ -338,13 +340,21 @@ class TestEnumerate:
         for n in range(1, 7):
             for k in range(1, n + 1):
                 start = len(decisions)
-                kept = [m.rows for m in enumerate_kreg(n, k)]
+                kept = [m.rows for m in enumeration._enumerate_direct(n, k)]
                 assert [rows for rows, keep in decisions[start:] if keep] == kept
         for rows, keep in decisions:
             n = len(rows)
             assert keep == (rows == min(_sorted_members(rows, n))), rows
         rejected = sum(not keep for _, keep in decisions)
         assert 0 < rejected < len(decisions)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9)
+                                     for k in range(1, n) if 2 * k < n])
+    def test_sparse_cell_matches_the_direct_generator(self, n, k):
+        # a sparse cell goes through its complement; the direct generator is
+        # the oracle for its members and their order, and so for its keys,
+        # which encode a member's rows
+        assert list(enumerate_kreg(n, k)) == list(enumeration._enumerate_direct(n, k))
 
     def test_capacity_guard_and_override(self):
         with pytest.raises(CapacityError, match=r"^enumeration capped at n <= 8$"):
@@ -368,16 +378,18 @@ class TestEnumerate:
                                      for k in range(1, n)] + [(8, 2), (8, 6)])
     def test_complement_is_a_bijection_of_classes(self, n, k):
         # complementing every entry maps the classes at (n, k) one to one
-        # onto the classes at (n, n - k)
+        # onto the classes at (n, n - k); both sides come from the direct
+        # generator, since enumerate_kreg routes a sparse cell through this
+        # very map
         full = (1 << n) - 1
-        classes = list(enumerate_kreg(n, k))
+        classes = list(enumeration._enumerate_direct(n, k))
         complements = {
             canonical_key(BiadjacencyMatrix(n, n - k, tuple(full ^ r for r in m.rows)))
             for m in classes}
         assert len(complements) == len(classes)
         assert complements == {
             encode_key(n, n - k, m.rows)
-            for m in enumerate_kreg(n, n - k)}
+            for m in enumeration._enumerate_direct(n, n - k)}
 
     def test_worked_example_class_is_enumerated(self, rank6_matrix):
         keys = {canonical_key(m) for m in enumerate_kreg(6, 3)}

@@ -85,9 +85,11 @@ def test_every_private_name_is_read(module):
 # Each is slow to import and answers nothing a command prints: dataclasses
 # (with inspect behind it), hashlib's OpenSSL binding, which graph_key
 # loads only for a graph with more than 62 vertices, base64: the graph6
-# codec calls binascii, which the interpreter loads at start-up, and csv,
-# which only the csv output of a command loads.
-STARTUP_FREE = {"dataclasses", "inspect", "hashlib", "base64", "csv"}
+# codec calls binascii, which the interpreter loads at start-up, csv,
+# which only the csv output of a command loads, and fractions with the
+# decimal module it imports: no scan or gamma command builds a rational.
+STARTUP_FREE = {"dataclasses", "inspect", "hashlib", "base64", "csv",
+                "fractions", "decimal"}
 
 
 def _modules_after(statement: str) -> set[str]:
