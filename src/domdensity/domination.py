@@ -46,7 +46,8 @@ witness pass always follows the value pass and is seeded with its optimal
 cover ``found``: as ``found`` holds the vertices fixed so far and then c,
 the probe at c is known to succeed, so only the vertices below c are probed
 and c is taken with no search; a probe that succeeds makes its own cover the
-new incumbent.
+new incumbent.  ``each_minimum_set`` makes that probe at every vertex, hands
+each full cover to a visitor and searches on, never lowering ``best``.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def _automorphism(neighbors, x: int, y: int, budget: int) -> tuple[list[int] | N
 
 
 class _Search:
-    """Branch-and-bound state shared by the value pass and the witness pass."""
+    """Branch-and-bound state shared by both passes and ``each_minimum_set``."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, visit=None):
         # _descend recurses once per chosen vertex, so a search is at most n
         # deep; the default limit's 1000 frames stay for the callers.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), g.n + 1000))
@@ -199,6 +200,7 @@ class _Search:
         self.nodes = 0  # _descend calls since the value pass started
         self.root = []  # the value pass's root children so far
         self.budget = 0  # automorphism steps left at the value pass's root
+        self.visit = visit  # each_minimum_set's visitor of full covers
 
     def greedy_cover(self) -> int:
         """Max-coverage greedy cover; ties go to the vertex first in pref order.
@@ -302,6 +304,9 @@ class _Search:
         self.nodes += 1
         count = chosen.bit_count()
         if covered == self.full:
+            if self.visit is not None and count == self.goal:
+                self.visit(chosen)
+                return False
             self.best, self.found = count, chosen
             return count <= self.goal
         need = self.best - count
@@ -322,7 +327,9 @@ class _Search:
         # root allows every vertex; a witness probe at v < c allows the
         # vertices of ``found`` above c, which dominate what ``chosen`` leaves
         # uncovered; and a child excludes at most c_v - 1 dominators of any
-        # vertex, since the branch vertex v has the fewest allowed ones.
+        # vertex, since the branch vertex v has the fewest allowed ones.  Not
+        # so in an enumeration probe: a vertex with no allowed dominator is
+        # picked there, and the node has no child.
         v = self._pick(covered, allowed, near)
         rest = allowed
         for u in self.cand_order[v]:
@@ -337,6 +344,13 @@ class _Search:
                     return True
         return False
 
+    def _probe(self, gamma: int, v: int, chosen=0, covered=0, mcovered=0) -> bool:
+        """A descent at gamma below ``chosen`` + v, every vertex up to v excluded."""
+        self.goal, self.best = gamma, gamma + 1
+        return self._descend(chosen | 1 << v, covered | self.closed[v],
+                             mcovered | self.mclosed[v], self.full & ~((2 << v) - 1),
+                             self.near_prefix[v])
+
     def lexmin_witness(self, gamma: int) -> int:
         """Smallest minimum dominating set under sorted-vertex-tuple order.
 
@@ -348,18 +362,26 @@ class _Search:
             # probe at c would succeed: probe only lo..c-1.
             rest = self.found >> lo
             c = lo + (rest & -rest).bit_length() - 1
-            for v in range(lo, c):
-                self.goal, self.best = gamma, gamma + 1
-                if self._descend(chosen | 1 << v, covered | self.closed[v],
-                                 mcovered | self.mclosed[v], self.full & ~((2 << v) - 1),
-                                 self.near_prefix[v]):
-                    c = v
-                    break
+            c = next((v for v in range(lo, c)
+                      if self._probe(gamma, v, chosen, covered, mcovered)), c)
             chosen |= 1 << c
             covered |= self.closed[c]
             mcovered |= self.mclosed[c]
             lo = c + 1
         return chosen
+
+
+def each_minimum_set(g: Graph, gamma: int, visit) -> None:
+    """Call ``visit`` once with each dominating set of ``gamma`` = gamma(g)
+    vertices, as a mask.  The probe at v meets the sets whose lowest vertex is
+    v: a child takes u and excludes the dominators before u, the bounds stay
+    admissible at ``best`` = gamma + 1, and the root's orbit pruning never runs
+    as v is chosen.  A smaller cover ends the probe and raises ``ValueError``."""
+    search = _Search(g, visit)
+    for v in range(g.n):
+        if search._probe(gamma, v):
+            raise ValueError(f"{gamma} is not this graph's domination number: {search.best}"
+                             " vertices dominate it (a wrong gamma cache entry?)")
 
 
 def _exact(g: Graph, cache: "GammaCache | None") -> int:

@@ -2,8 +2,7 @@
 
 
 class CapacityError(RuntimeError):
-    """Input exceeds a size guard, one of the module constants MAX_VERTICES
-    (graphs), SCAN_CAP (enumeration) and MAX_SWEEP_SUBSETS (transform)."""
+    """Input exceeds a size guard: MAX_VERTICES (graphs) or SCAN_CAP (enumeration)."""
 
 
 class ParseError(ValueError):

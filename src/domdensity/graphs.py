@@ -1,9 +1,8 @@
 """Bitset graphs and the structural operations everything else builds on.
 
 Vertices are 0..n-1 and every neighbourhood is a Python int used as a
-bitset, so the set algebra in the solver and the exhaustive scans is plain
-integer arithmetic (or, and, popcount); ``covering_subsets`` is the one
-exhaustive scan over k-subsets of such masks.  Graphs are immutable after
+bitset, so the set algebra in the solver and the row-cover scan is plain
+integer arithmetic (or, and, popcount).  Graphs are immutable after
 construction.  graph6 is the one text codec here: ``emit_graph6`` and
 ``graph_key`` pair with ``parse_graph6``; ``cli.load_graph_text`` reads
 graph files.
@@ -12,7 +11,6 @@ graph files.
 from __future__ import annotations
 
 import binascii
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CapacityError, ParseError, PreconditionError
@@ -40,17 +38,6 @@ def iter_bits(mask: int):
 
 def bit_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
-
-
-def covering_subsets(masks, size: int, full: int):
-    """Each ``size``-subset of indices into ``masks`` whose union is ``full``,
-    as a sorted index tuple, in ``combinations`` order."""
-    for combo in combinations(range(len(masks)), size):
-        covered = 0
-        for i in combo:
-            covered |= masks[i]
-        if covered == full:
-            yield combo
 
 
 class _GraphFields(NamedTuple):

@@ -14,10 +14,12 @@ assumed.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError
-from .graphs import covering_subsets
 
 if TYPE_CHECKING:  # enumeration imports this module
     from .enumeration import BiadjacencyMatrix
@@ -70,8 +72,12 @@ def disjoint_row_cover(m: BiadjacencyMatrix, rows_wanted: int):
     """
     if rows_wanted < 1:
         raise PreconditionError("need rows_wanted >= 1")
-    return next((combo for combo in covering_subsets(m.rows, rows_wanted, (1 << m.n) - 1)
-                 if sum(m.rows[i].bit_count() for i in combo) == m.n), None)
+    full = (1 << m.n) - 1
+    for combo in combinations(range(len(m.rows)), rows_wanted):
+        rows = [m.rows[i] for i in combo]
+        if reduce(or_, rows) == full and sum(r.bit_count() for r in rows) == m.n:
+            return combo
+    return None
 
 
 class ObstructionReport(NamedTuple):

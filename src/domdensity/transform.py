@@ -18,12 +18,12 @@ gamma(G box H) + m* |V(H)| >= gamma(G) gamma(H) term by term.
 
 from __future__ import annotations
 
-from math import ceil, comb, floor
+from math import ceil, floor
 from typing import TYPE_CHECKING, NamedTuple
 
 from .criteria import imbalance_vs_arbitrary
-from .domination import GammaCache, closed_neighborhoods, gamma_value
-from .errors import CapacityError, FindingError, PreconditionError
+from .domination import GammaCache, each_minimum_set, gamma_value
+from .errors import FindingError, PreconditionError
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -31,17 +31,12 @@ from .graphs import (
     bit_list,
     cartesian_product,
     check_order,
-    covering_subsets,
     graph_key,
     max_degree,
 )
 
 if TYPE_CHECKING:  # loaded by the functions that build one
     from fractions import Fraction
-
-# The hypothesis sweep tries C(n, gamma) vertex subsets, about 2.5 million a
-# second on a 2-core host (C24: 735,471 subsets in about 0.3 s).
-MAX_SWEEP_SUBSETS = 1_000_000
 
 
 class HypothesisReport(NamedTuple):
@@ -74,43 +69,28 @@ def evaluate_hypothesis(bg: BipartiteGraph, rho_h: Fraction,
                         cache: GammaCache | None = None) -> HypothesisReport:
     """Sweep every minimum dominating set of ``bg`` against ``rho_h >= 0``.
     The gate and m* depend only on the side, so each is fixed once per
-    non-empty side, and a set is judged by its count there alone."""
+    non-empty side, and a set is judged by its count there alone; the
+    judgement does not depend on the order the sets come in."""
     gamma = gamma_value(bg.graph, cache)
-    subsets = comb(bg.graph.n, gamma)
-    if subsets > MAX_SWEEP_SUBSETS:
-        raise CapacityError(
-            f"the hypothesis sweep would try C({bg.graph.n}, {gamma}) = {subsets}"
-            f" vertex subsets, above {MAX_SWEEP_SUBSETS}")
     sides = [(side, side_mask, ceil(x * rho_h), floor(x * rho_h) + 1, x)
              for side, side_mask in (("A", bg.side_a), ("B", bg.side_b))
              if (x := side_mask.bit_count())]
     gate_met = equality_flagged = False
     # (m*, side, set mask, side size, set on the side); "A" sorts first
     best = None
-    for combo in covering_subsets(closed_neighborhoods(bg.graph), gamma,
-                                  bg.graph.vertex_mask):
-        mask = sum(1 << v for v in combo)
+
+    def judge(mask: int):
+        nonlocal gate_met, equality_flagged, best
         for side, side_mask, gate, ms, size in sides:
-            d_in = mask & side_mask
-            count = d_in.bit_count()
-            if count < gate:
-                continue
-            gate_met = True
-            if count < ms:
-                equality_flagged = True
-            elif best is None or (ms, side, mask) < best[:3]:
-                best = (ms, side, mask, size, d_in)
+            count = (mask & side_mask).bit_count()
+            gate_met |= count >= gate
+            equality_flagged |= gate <= count < ms
+            if count >= ms and (best is None or (ms, side, mask) < best[:3]):
+                best = (ms, side, mask, size, mask & side_mask)
+
+    each_minimum_set(bg.graph, gamma, judge)
     ms, side, _, size, d_in = best or (None,) * 5
-    return HypothesisReport(
-        rho_h=rho_h,
-        gamma=gamma,
-        gate_met=gate_met,
-        equality_flagged=equality_flagged,
-        side=side,
-        side_size=size,
-        d_in_side=d_in,
-        m_star=ms,
-    )
+    return HypothesisReport(rho_h, gamma, gate_met, equality_flagged, side, size, d_in, ms)
 
 
 # ---------------------------------------------------------------------------

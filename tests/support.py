@@ -5,8 +5,8 @@ on ``sys.path``, so a test reads it with ``from support import ...``.
 
 ``gamma_brute`` is the solver's independent oracle: subset enumeration in
 increasing size order on ``itertools.combinations``.  It shares no code
-with the solver, nor with ``graphs.covering_subsets``, the scan that
-``transform`` and ``rankcheck`` read, so it checks that scan too.
+with the solver, so ``_dominating_sets`` at its size also checks
+``domination.each_minimum_set``, the sweep ``transform`` reads.
 
 ``hypothesis_oracle`` is ``transform.evaluate_hypothesis`` by its
 definition: every minimum dominating set from the same enumeration, judged

@@ -25,7 +25,7 @@ from domdensity.domination import _Search
 from domdensity.errors import CapacityError, ParseError
 from domdensity.graphs import MAX_VERTICES, emit_graph6
 from conftest import RANK6_ROWS
-from support import connected_bipartite_graphs, path_graph, star
+from support import connected_bipartite_graphs, cycle_graph, path_graph, star
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -506,15 +506,25 @@ class TestTransform:
         assert out[0] == "side X = A, m* = 4, round bound = 0"
         assert out[-1] == "satisfied: True at round 0"
 
-    def test_sweep_over_the_subset_cap_exits_3(self, tmp_path, capsys):
-        p30 = tmp_path / "p30.g6"
-        p30.write_text(emit_graph6(path_graph(30)) + "\n")
-        assert main(["transform", str(p30), "--rho-h", "2/5",
-                     "--delta-h", "2", "--format", "json"]) == EXIT_CAPACITY
+    # P30's one minimum dominating set and C30's three each have 5 vertices
+    # on each side of 15: below the gate 6 at 2/5; at 1/5, m* = 4 on side A,
+    # with P30's set or C30's smallest mask, {0, 3, ..., 27}.
+    @pytest.mark.parametrize("g, targets", [
+        (path_graph(30), [4, 10, 16, 22]),
+        (cycle_graph(30), [0, 6, 12, 18]),
+    ], ids=["P30", "C30"])
+    def test_thirty_vertices_answer(self, tmp_path, capsys, g, targets):
+        path = tmp_path / "g30.g6"
+        path.write_text(emit_graph6(g) + "\n")
+        assert main(["transform", str(path), "--rho-h", "2/5", "--delta-h", "2"]) == EXIT_OK
+        assert capsys.readouterr() == ("hypothesis not met: no minimum dominating set"
+                                       " yields a usable side proportion\n", "")
+        assert main(["transform", str(path), "--rho-h", "1/5", "--delta-h", "2",
+                     "--format", "json"]) == EXIT_OK
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("capacity: the hypothesis sweep would try"
-                              " C(30, 10) = 30045015 vertex subsets")
+        trace = json.loads(out)["trace"]
+        assert err == "" and trace["satisfied"]
+        assert (trace["side_x"], trace["m_star"], trace["targets"]) == ("A", 4, targets)
 
     @staticmethod
     def _small_graph_digest(tmp_path, capsys, densities, formats):
@@ -693,8 +703,8 @@ class TestTransform:
             "value", _Search.minimum_size, lambda search, seed: search.n))
         monkeypatch.setattr(_Search, "lexmin_witness", counted(
             "witness", _Search.lexmin_witness, lambda search, gamma: search.n))
-        monkeypatch.setattr(transform, "covering_subsets", counted(
-            "sweep", transform.covering_subsets, lambda masks, size, full: len(masks)))
+        monkeypatch.setattr(transform, "each_minimum_set", counted(
+            "sweep", transform.each_minimum_set, lambda g, gamma, visit: g.n))
         for module in (cli, transform):
             monkeypatch.setattr(module, "evaluate_hypothesis", counted(
                 "hypothesis", transform.evaluate_hypothesis,
@@ -739,6 +749,25 @@ def test_wrong_cached_value_is_an_input_error(tmp_path, c4_file, capsys,
     assert out == ""
     assert err == f"input error: {cache}:1: malformed cache line\n"
     assert cache.read_bytes() == before
+
+
+# P5 cached with the minimal but not minimum mask {0, 2, 4}: the sweep reaches
+# a cover of 2 vertices and refuses the cached gamma 3 before any output.
+def test_cached_minimal_mask_above_gamma_is_refused_by_transform(tmp_path, capsys):
+    p5 = tmp_path / "p5.el"
+    p5.write_text("0 1\n1 2\n2 3\n3 4\n")
+    cache = tmp_path / "gamma.cache"
+    argv = ["transform", str(p5), "--rho-h", "1/2", "--delta-h", "2", "--cache", str(cache)]
+    assert main(argv) == EXIT_OK
+    key, gamma, witness = cache.read_text().split()
+    assert (gamma, witness) == ("2", "9")
+    cache.write_text(f"{key} 3 15\n")
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "input error: 3 is not this graph's domination"
+                                   " number: 2 vertices dominate it (a wrong gamma"
+                                   " cache entry?)\n")
+    assert cache.read_text() == f"{key} 3 15\n"
 
 
 def test_cached_value_above_a_reached_cover_is_an_input_error(tmp_path, capsys):

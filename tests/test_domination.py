@@ -16,6 +16,7 @@ from domdensity.domination import (
     _automorphism,
     check_vizing,
     closed_neighborhoods,
+    each_minimum_set,
     gamma_exact,
     gamma_value,
     is_dominating,
@@ -32,9 +33,11 @@ from domdensity.graphs import (
 from conftest import random_graph
 from support import (
     BRUTE_FORCE_LIMIT,
+    _dominating_sets,
     all_graphs,
     complete_bipartite,
     complete_graph,
+    connected_bipartite_graphs,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -630,6 +633,34 @@ class TestOrbitPruning:
         # Pruning is exercised: it cuts nodes on 28 of these graphs.
         saved = sum(a > b for (b, _), (a, _) in zip(pruned, unpruned))
         assert all(b <= a for (b, _), (a, _) in zip(pruned, unpruned)) and saved >= 20
+
+
+class TestEachMinimumSet:
+    """The enumeration of the minimum dominating sets against every vertex
+    subset of ``gamma_brute``'s size."""
+
+    @staticmethod
+    def oracle_graphs():
+        return ([g for n in range(2, 8) for g in connected_bipartite_graphs(n)]
+                + [path_graph(n) for n in range(2, 17)]
+                + [cycle_graph(n) for n in range(4, 17)])
+
+    def test_each_set_once(self):
+        for g in self.oracle_graphs():
+            gamma = gamma_brute(g)
+            seen = []
+            each_minimum_set(g, gamma, seen.append)
+            assert len(seen) == len(set(seen))
+            assert set(seen) == set(_dominating_sets(g, gamma))
+
+    # Every probe that meets a minimum dominating set reaches a cover below a
+    # gamma that is too large, so no such gamma passes.
+    def test_a_gamma_above_the_minimum_is_refused(self):
+        for g in self.oracle_graphs():
+            gamma = gamma_brute(g)
+            with pytest.raises(ValueError, match=f"^{gamma + 1} is not this graph's"
+                               f" domination number: {gamma} vertices dominate it"):
+                each_minimum_set(g, gamma + 1, lambda mask: None)
 
 
 class TestKnownValues:

@@ -2,9 +2,6 @@
 leaf attachment."""
 
 import random
-from functools import reduce
-from itertools import combinations
-from operator import or_
 
 import pytest
 
@@ -16,7 +13,6 @@ from domdensity.graphs import (
     attach_leaves,
     bipartition,
     cartesian_product,
-    covering_subsets,
     emit_graph6,
     from_edges,
     graph_key,
@@ -468,16 +464,3 @@ def test_is_connected():
     assert is_connected(empty_graph(1))
     assert not is_connected(empty_graph(2))
 
-
-def test_covering_subsets_matches_combinations_oracle():
-    # Zero and repeated masks, size 0, and sizes above len(masks) included;
-    # the hits come in combinations order.
-    rng = random.Random(41)
-    for _ in range(300):
-        full = (1 << rng.randrange(0, 6)) - 1
-        pool = [0, full] + [rng.randrange(full + 1) for _ in range(3)]
-        masks = [rng.choice(pool) for _ in range(rng.randrange(0, 8))]
-        for size in range(len(masks) + 2):
-            expected = [combo for combo in combinations(range(len(masks)), size)
-                        if reduce(or_, (masks[i] for i in combo), 0) == full]
-            assert list(covering_subsets(masks, size, full)) == expected

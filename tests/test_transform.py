@@ -8,20 +8,19 @@ from itertools import combinations
 import pytest
 
 from domdensity.domination import (
-    closed_neighborhoods,
+    each_minimum_set,
     gamma_exact,
     gamma_value,
     is_dominating,
 )
-from domdensity.errors import CapacityError
 from domdensity.graphs import (
     attach_leaves,
     bipartition,
     cartesian_product,
-    covering_subsets,
     max_degree,
 )
 from domdensity.transform import (
+    HypothesisReport,
     constructive_inequality_check,
     evaluate_hypothesis,
     iterate_leaves,
@@ -138,15 +137,30 @@ class TestHypothesis:
             for rho_h in densities:
                 assert evaluate_hypothesis(bg, rho_h) == hypothesis_oracle(bg, rho_h)
 
-    def test_sweep_over_the_subset_cap_is_refused(self):
-        # C(30, 10) = 30,045,015 subsets of P30
-        with pytest.raises(CapacityError, match="C\\(30, 10\\)"):
-            evaluate_hypothesis(bipartition(path_graph(30)), Fraction(2, 5))
+    # P30 has one minimum dominating set, {1, 4, ..., 28}, and C30 three,
+    # {r, r + 3, ..., r + 27} for r < 3; each has 5 vertices on each side of
+    # 15.  At 2/5 the gate is 6, so neither graph meets it.  At 1/5 the gate
+    # is 3 and m* is 4 on both sides: side A (the evens), with P30's set or
+    # C30's smallest mask, r = 0.
+    @pytest.mark.parametrize("g, d_in_side", [
+        (path_graph(30), [4, 10, 16, 22, 28]),
+        (cycle_graph(30), [0, 6, 12, 18, 24]),
+    ], ids=["P30", "C30"])
+    def test_thirty_vertices_by_hand(self, g, d_in_side):
+        bg = bipartition(g)
+        assert bg.side_a == sum(1 << v for v in range(0, 30, 2))
+        rho_h = Fraction(2, 5)
+        assert evaluate_hypothesis(bg, rho_h) == HypothesisReport(
+            rho_h, 10, False, False, None, None, None, None)
+        rho_h = Fraction(1, 5)
+        assert evaluate_hypothesis(bg, rho_h) == HypothesisReport(
+            rho_h, 10, True, False, "A", 15, sum(1 << v for v in d_in_side), 4)
 
     def test_minimum_set_sweep_matches_brute(self):
         g = cycle_graph(6)
-        covers = covering_subsets(closed_neighborhoods(g), 2, g.vertex_mask)
-        assert list(covers) == [(0, 3), (1, 4), (2, 5)]
+        covers = []
+        each_minimum_set(g, 2, covers.append)
+        assert sorted(covers) == [0b001001, 0b010010, 0b100100]
 
 
 class TestConstructiveInequality:
