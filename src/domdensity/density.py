@@ -15,15 +15,14 @@ from .graphs import Graph
 
 def density_vizing_check(g: Graph, h: Graph, report: VizingReport) -> bool:
     """The density form rho(G box H) >= rho(G) rho(H) of ``report``, the
-    ``check_vizing`` report of (g, h), in exact rationals, where rho is
-    gamma / |V|.
+    ``check_vizing`` report of (g, h), where rho is gamma / |V|.
 
-    Algebraically equivalent to the integer form, and asserted to agree with
-    ``report.holds`` in the test suite (exact arithmetic makes the
-    equivalence literally testable).
+    Decided in integers, as a/b >= c/d iff ad >= cb for b, d > 0, so that
+    ``check-vizing`` builds no rational.  Algebraically equivalent to the
+    integer form, and asserted to agree with ``report.holds`` in the test
+    suite (exact arithmetic makes the equivalence literally testable).
     """
-    from fractions import Fraction
-
-    rho_p = Fraction(report.gamma_product, g.n * h.n)
-    return rho_p >= Fraction(report.gamma_g, g.n) * Fraction(report.gamma_h, h.n)
-
+    # a/b = rho(G box H), on |V(G)| |V(H)| vertices; c/d = rho(G) rho(H).
+    a, b = report.gamma_product, g.n * h.n
+    c, d = report.gamma_g * report.gamma_h, g.n * h.n
+    return a * d >= c * b

@@ -19,9 +19,15 @@ the union of the closed neighbourhoods of the vertices excluded so far, is
 carried down the search so that only uncovered vertices inside it are
 counted, since every other one keeps its whole closed neighbourhood.
 
-One recursive descent serves both passes.  It carries the chosen vertices
-as a mask, records every full cover it reaches as ``found`` and its size as
-``best``, and stops at the first cover of size <= ``goal``.  The value pass
+One recursive descent, the kernel, serves both passes.  It carries the
+chosen vertices as a mask, records every full cover it reaches as ``found``
+and its size as ``best``, and stops at the first cover of size <= ``goal``.
+It is one nested function with the branch-vertex rule inlined, built once
+per pass as the pass starts: the read-only tables (``closed``, the
+mirrored and packing tables, ``cand_order``, ``pref``, ``size_classes``)
+are its closure locals, so that a node reads no attribute but the mutable
+state (``nodes``, ``best``, ``found``, ``goal``, ``visit``, and the root's
+``root`` and ``budget``), which stays on the search.  The value pass
 sets ``goal`` to -1 and ``best`` and ``found`` to a seed cover, so it never
 stops early and ends with an optimal cover in ``found``.  The seed is the
 smaller of two covers, the greedy one on a tie: a lazy max-coverage greedy
@@ -55,6 +61,7 @@ from __future__ import annotations
 import os
 import re
 import sys
+from contextlib import contextmanager
 from itertools import accumulate
 from operator import or_
 from pathlib import Path
@@ -155,7 +162,7 @@ class _Search:
     """Branch-and-bound state shared by both passes and ``each_minimum_set``."""
 
     def __init__(self, g: Graph, visit=None):
-        # _descend recurses once per chosen vertex, so a search is at most n
+        # The kernel recurses once per chosen vertex, so a search is at most n
         # deep; the default limit's 1000 frames stay for the callers.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), g.n + 1000))
         self.n = g.n
@@ -197,7 +204,7 @@ class _Search:
         self.goal = -1
         self.best = g.n
         self.found = 0  # the last full cover reached, of size best
-        self.nodes = 0  # _descend calls since the value pass started
+        self.nodes = 0  # descents since the value pass started
         self.root = []  # the value pass's root children so far
         self.budget = 0  # automorphism steps left at the value pass's root
         self.visit = visit  # each_minimum_set's visitor of full covers
@@ -232,54 +239,27 @@ class _Search:
 
     def seed_cover(self) -> int:
         """The value pass's incumbent: the greedy cover, or a dive's cover if
-        that is strictly smaller.  The dive follows the branching rule: it
-        takes, for the uncovered vertex ``_pick`` names at the root, the
+        that is strictly smaller.  The dive follows the branching rule in the
+        root state, where nothing is excluded: for the uncovered vertex of the
+        smallest closed neighbourhood, lowest index on a tie, it takes the
         dominator of largest gain (ties go to the lower pref)."""
         chosen = covered = 0
         while covered != self.full:
-            u = max(self.cand_order[self._pick(covered, self.full, 0)],
+            uncovered = self.full & ~covered
+            m = next(uncovered & members for _, members in self.size_classes
+                     if uncovered & members)
+            u = max(self.cand_order[(m & -m).bit_length() - 1],
                     key=lambda u: (self.closed[u] & ~covered).bit_count())
             chosen |= 1 << u
             covered |= self.closed[u]
         greedy = self.greedy_cover()
         return chosen if chosen.bit_count() < greedy.bit_count() else greedy
 
-    def _pick(self, covered: int, allowed: int, near: int) -> int:
-        """Uncovered vertex with the fewest allowed dominators.
-
-        Ties go to the lower pref; the key (count, pref) is encoded as
-        count * n + pref.  ``near`` is the union of closed[u] over the
-        excluded vertices (those not in ``allowed``).  An uncovered vertex
-        outside it keeps its whole closed neighbourhood as dominators, so
-        only the ones inside are counted; among the rest the smallest
-        neighbourhood wins, and within one size the lowest index, which is
-        the lowest pref.
-        """
-        uncovered = self.full & ~covered
-        best_key = self.n * (self.n + 1)
-        best_v = -1
-        far = uncovered & ~near
-        for size, members in self.size_classes:
-            m = far & members
-            if m:
-                best_v = (m & -m).bit_length() - 1
-                best_key = size * self.n + self.pref[best_v]
-                break
-        m = uncovered & near
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            c = (self.closed[v] & allowed).bit_count()
-            key = c * self.n + self.pref[v]
-            if key < best_key:
-                best_key, best_v = key, v
-        return best_v
-
     def minimum_size(self, seed: int) -> int:
         self.goal, self.best, self.found = -1, seed.bit_count(), seed
         self.nodes, self.root = 0, []
-        self._descend(0, 0, 0, self.full, 0)
+        with self._kernel() as descend:
+            descend(0, 0, 0, self.full, 0)
         return self.best
 
     def _image_of_earlier(self, u: int) -> bool:
@@ -297,59 +277,112 @@ class _Search:
                 return True
         return False
 
-    def _descend(self, chosen: int, covered: int, mcovered: int, allowed: int,
-                 near: int) -> bool:
-        """Branch and bound below one node; True at a cover of size <= goal.
-        ``mcovered`` is ``covered`` mirrored (vertex v at bit n-1-v)."""
-        self.nodes += 1
-        count = chosen.bit_count()
-        if covered == self.full:
-            if self.visit is not None and count == self.goal:
-                self.visit(chosen)
-                return False
-            self.best, self.found = count, chosen
-            return count <= self.goal
-        need = self.best - count
-        uncovered = self.full & ~covered
-        if -(-uncovered.bit_count() // self.cover_span) >= need:
-            return False
-        # Two greedy 2-packings, each stopped once it reaches need: in
-        # descending order, and in ascending order as descending over the
-        # mirrored masks.
-        for far, m in ((self.far, uncovered), (self.mfar, self.full & ~mcovered)):
-            size = need
-            while m:
-                size -= 1
-                if not size:
-                    return False
-                m &= far[m.bit_length() - 1]
-        # Every uncovered vertex keeps an allowed dominator: the value pass's
-        # root allows every vertex; a witness probe at v < c allows the
-        # vertices of ``found`` above c, which dominate what ``chosen`` leaves
-        # uncovered; and a child excludes at most c_v - 1 dominators of any
-        # vertex, since the branch vertex v has the fewest allowed ones.  Not
-        # so in an enumeration probe: a vertex with no allowed dominator is
-        # picked there, and the node has no child.
-        v = self._pick(covered, allowed, near)
-        rest = allowed
-        for u in self.cand_order[v]:
-            if rest >> u & 1:
-                rest ^= 1 << u
-                near |= self.closed[u]
-                # Only the value pass's root has chosen nothing.
-                if not chosen and self._image_of_earlier(u):
-                    continue
-                if self._descend(chosen | 1 << u, covered | self.closed[u],
-                                 mcovered | self.mclosed[u], rest, near):
-                    return True
-        return False
+    @contextmanager
+    def _kernel(self):
+        """The branch and bound below one node, as a function
+        descend(chosen, covered, mcovered, allowed, near) that returns True at
+        a cover of size <= goal; ``mcovered`` is ``covered`` mirrored (vertex
+        v at bit n-1-v).
 
-    def _probe(self, gamma: int, v: int, chosen=0, covered=0, mcovered=0) -> bool:
-        """A descent at gamma below ``chosen`` + v, every vertex up to v excluded."""
+        It reads the tables as closure locals, and each pass builds it once,
+        as it starts: a table set after construction is still read, and no
+        probe rebuilds one.  The state that callers and tests read stays on
+        self.  On leaving, the kernel's reference to itself is dropped: that
+        cycle would keep a finished search's tables until the cyclic garbage
+        collector ran, which a long ``transform`` trace shows in its peak
+        memory."""
+        n, full, cover_span = self.n, self.full, self.cover_span
+        closed, mclosed, cand_order, pref = self.closed, self.mclosed, self.cand_order, self.pref
+        size_classes, image_of_earlier = self.size_classes, self._image_of_earlier
+        # far and mfar one slot up, so that a packing indexes them by
+        # m.bit_length(), one more than m's highest vertex.
+        far, mfar = [0] + self.far, [0] + self.mfar
+        no_key = n * (n + 1)
+
+        def descend(chosen, covered, mcovered, allowed, near):
+            self.nodes += 1
+            count = chosen.bit_count()
+            if covered == full:
+                if self.visit is not None and count == self.goal:
+                    self.visit(chosen)
+                    return False
+                self.best, self.found = count, chosen
+                return count <= self.goal
+            need = self.best - count
+            uncovered = full ^ covered  # covered lies within full
+            if -(-uncovered.bit_count() // cover_span) >= need:
+                return False
+            # Two greedy 2-packings, each stopped once it reaches need: in
+            # descending order, and in ascending order as descending over the
+            # mirrored masks.
+            m, left = uncovered, need
+            while m:
+                left -= 1
+                if not left:
+                    return False
+                m &= far[m.bit_length()]
+            m, left = full ^ mcovered, need
+            while m:
+                left -= 1
+                if not left:
+                    return False
+                m &= mfar[m.bit_length()]
+            # The branch vertex: the uncovered vertex with the fewest allowed
+            # dominators, ties to the lower pref, keyed as count * n + pref.
+            # ``near`` is the union of closed[u] over the excluded vertices
+            # (those not in ``allowed``).  An uncovered vertex outside it
+            # keeps its whole closed neighbourhood as dominators, so only the
+            # ones inside are counted; among the rest the smallest
+            # neighbourhood wins, and within one size the lowest index, which
+            # is the lowest pref.
+            key = no_key
+            m = uncovered & ~near
+            for size, members in size_classes:
+                if low := m & members:
+                    v = (low & -low).bit_length() - 1
+                    key = size * n + pref[v]
+                    break
+            m = uncovered & near
+            while m:
+                low = m & -m
+                w = low.bit_length() - 1
+                m ^= low
+                c = (closed[w] & allowed).bit_count() * n + pref[w]
+                if c < key:
+                    key, v = c, w
+            # Every uncovered vertex keeps an allowed dominator: the value
+            # pass's root allows every vertex; a witness probe at v < c allows
+            # the vertices of ``found`` above c, which dominate what
+            # ``chosen`` leaves uncovered; and a child excludes at most c_v - 1
+            # dominators of any vertex, since the branch vertex v has the
+            # fewest allowed ones.  Not so in an enumeration probe: a vertex
+            # with no allowed dominator is picked there, and the node has no
+            # child.
+            rest = allowed
+            for u in cand_order[v]:
+                if rest >> u & 1:
+                    rest ^= 1 << u
+                    near |= closed[u]
+                    # Only the value pass's root has chosen nothing.
+                    if not chosen and image_of_earlier(u):
+                        continue
+                    if descend(chosen | 1 << u, covered | closed[u],
+                               mcovered | mclosed[u], rest, near):
+                        return True
+            return False
+
+        try:
+            yield descend
+        finally:
+            del descend
+
+    def _probe(self, descend, gamma: int, v: int, chosen=0, covered=0, mcovered=0) -> bool:
+        """A descent by ``descend``, this search's kernel, at gamma below
+        ``chosen`` + v, every vertex up to v excluded."""
         self.goal, self.best = gamma, gamma + 1
-        return self._descend(chosen | 1 << v, covered | self.closed[v],
-                             mcovered | self.mclosed[v], self.full & ~((2 << v) - 1),
-                             self.near_prefix[v])
+        return descend(chosen | 1 << v, covered | self.closed[v],
+                       mcovered | self.mclosed[v], self.full & ~((2 << v) - 1),
+                       self.near_prefix[v])
 
     def lexmin_witness(self, gamma: int) -> int:
         """Smallest minimum dominating set under sorted-vertex-tuple order.
@@ -357,17 +390,18 @@ class _Search:
         Runs after ``minimum_size``, which leaves an optimal cover in ``found``.
         """
         chosen = covered = mcovered = lo = 0
-        while covered != self.full:
-            # ``found`` holds ``chosen`` and then its next vertex c, so a
-            # probe at c would succeed: probe only lo..c-1.
-            rest = self.found >> lo
-            c = lo + (rest & -rest).bit_length() - 1
-            c = next((v for v in range(lo, c)
-                      if self._probe(gamma, v, chosen, covered, mcovered)), c)
-            chosen |= 1 << c
-            covered |= self.closed[c]
-            mcovered |= self.mclosed[c]
-            lo = c + 1
+        with self._kernel() as descend:
+            while covered != self.full:
+                # ``found`` holds ``chosen`` and then its next vertex c, so a
+                # probe at c would succeed: probe only lo..c-1.
+                rest = self.found >> lo
+                c = lo + (rest & -rest).bit_length() - 1
+                c = next((v for v in range(lo, c)
+                          if self._probe(descend, gamma, v, chosen, covered, mcovered)), c)
+                chosen |= 1 << c
+                covered |= self.closed[c]
+                mcovered |= self.mclosed[c]
+                lo = c + 1
         return chosen
 
 
@@ -378,10 +412,12 @@ def each_minimum_set(g: Graph, gamma: int, visit) -> None:
     admissible at ``best`` = gamma + 1, and the root's orbit pruning never runs
     as v is chosen.  A smaller cover ends the probe and raises ``ValueError``."""
     search = _Search(g, visit)
-    for v in range(g.n):
-        if search._probe(gamma, v):
-            raise ValueError(f"{gamma} is not this graph's domination number: {search.best}"
-                             " vertices dominate it (a wrong gamma cache entry?)")
+    with search._kernel() as descend:
+        for v in range(g.n):
+            if search._probe(descend, gamma, v):
+                raise ValueError(f"{gamma} is not this graph's domination number:"
+                                 f" {search.best} vertices dominate it (a wrong gamma"
+                                 " cache entry?)")
 
 
 def _exact(g: Graph, cache: "GammaCache | None") -> int:

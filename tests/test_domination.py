@@ -214,23 +214,15 @@ class TestSearchNodes:
         (7, 7, False, 2_769, 4_909),
         (8, 9, False, 28_404, 23_025),
     ], ids=["C7xC7", "C8xC9", "C7xC7-two-packings", "C8xC9-two-packings"])
-    def test_descend_calls_per_pass(self, monkeypatch, a, b, one_packing, value_nodes,
+    def test_descend_calls_per_pass(self, a, b, one_packing, value_nodes,
                                     unseeded_witness_nodes):
-        calls = 0
-        descend = _Search._descend
-
-        def counted(search, *args):
-            nonlocal calls
-            calls += 1
-            return descend(search, *args)
-
-        monkeypatch.setattr(_Search, "_descend", counted)
+        # ``nodes`` counts every descent of both passes, from the value
+        # pass's start.
         search = new_search(cartesian_product(cycle_graph(a), cycle_graph(b)), one_packing)
         gamma = search.minimum_size(search.greedy_cover())
-        assert calls == search.nodes == value_nodes
-        calls = 0
+        assert search.nodes == value_nodes
         search.lexmin_witness(gamma)
-        assert calls < unseeded_witness_nodes / 2
+        assert search.nodes - value_nodes < unseeded_witness_nodes / 2
 
     # With no automorphism found, the root searches every child, as it did
     # before orbit pruning: the old tree, with the same value, cover and witness.
@@ -384,6 +376,23 @@ class TestSeedRule:
         search.minimum_size(search.seed_cover())
         assert search.nodes == seed_rule
 
+    # gamma_exact's own path: the seed rule and both packings, then the
+    # witness pass seeded with the value pass's cover.
+    @pytest.mark.parametrize("name, value_nodes, witness_nodes", [
+        ("C7xC7", 1_773, 2_442),
+        ("C8xC9", 28_404, 6_187),
+        ("P8xP8", 1_303, 3_956),
+        ("rank6xC5", 6_503, 22_748),
+    ])
+    def test_gamma_exact_nodes_per_pass(self, rank6_matrix, name, value_nodes,
+                                        witness_nodes):
+        g = self.product(rank6_matrix, name)
+        search = _Search(g)
+        gamma = search.minimum_size(search.seed_cover())
+        assert search.nodes == value_nodes
+        assert (gamma, search.lexmin_witness(gamma)) == gamma_exact(g)
+        assert search.nodes - value_nodes == witness_nodes
+
     def test_same_answer_as_greedy_seeded(self):
         for g in TestOrbitPruning.oracle_graphs() + TestOrbitPruning.vertex_transitive():
             _, (gamma, _, witness) = solve_passes(g)
@@ -481,26 +490,24 @@ class TestPackings:
         assert descending_larger >= 10 and ascending_larger >= 10
 
     def test_a_node_is_cut_by_the_larger_bound(self):
-        def reached_pick(*args):
-            raise LookupError
-
+        # Every vertex is allowed, so a node that is not cut enters a child:
+        # it is cut iff its search counts one node.  The root children are
+        # reset, so that orbit pruning skips none of them.
         for g, covered in self.cases():
             uncovered = g.vertex_mask & ~covered
             if not uncovered:
                 continue
             search = _Search(g)
-            search._pick = reached_pick
             bound = max(-(-uncovered.bit_count() // search.cover_span),
                         len(top_bit_packing(search.far, uncovered)),
                         len(top_bit_packing(search.mfar, mirror(uncovered, g.n))))
-            for need in range(1, g.n + 2):
-                search.best = need
-                args = 0, covered, mirror(covered, g.n), g.vertex_mask, 0
-                if need <= bound:
-                    assert search._descend(*args) is False
-                else:
-                    with pytest.raises(LookupError):
-                        search._descend(*args)
+            with search._kernel() as descend:
+                for need in range(1, g.n + 2):
+                    search.best, search.nodes, search.root = need, 0, []
+                    found = descend(0, covered, mirror(covered, g.n), g.vertex_mask, 0)
+                    assert (search.nodes == 1) == (need <= bound)
+                    if need <= bound:
+                        assert found is False
 
 
 def hypercube(d):

@@ -107,6 +107,19 @@ def test_cli_import_adds_no_slow_modules():
     assert not added & STARTUP_FREE, sorted(added & STARTUP_FREE)
 
 
+def test_check_vizing_on_odd_cycles_builds_no_rational(tmp_path):
+    # Neither factor is bipartite, so no criterion runs, and the density
+    # form is decided in integers.
+    files = []
+    for n in (5, 7):
+        path = tmp_path / f"c{n}.edges"
+        path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
+        files.append(str(path))
+    run = f"from domdensity.cli import main\nassert main(['check-vizing', *{files!r}]) == 0"
+    added = _modules_after(run) - _modules_after("import domdensity.cli")
+    assert not added & {"fractions", "decimal"}, sorted(added & {"fractions", "decimal"})
+
+
 def test_cli_import_loads_every_module():
     # src holds only what a command reaches; test-only code lives in
     # tests/support.py.
