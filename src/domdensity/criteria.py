@@ -140,17 +140,17 @@ REFERENCE_NK = {3: 23, 4: 13, 5: 10, 6: 10, 7: 9, 8: 9}
 def min_threshold_order(k: int) -> ThresholdEntry:
     """Smallest n >= k with threshold_condition(k, n, n) satisfied (non-strict).
 
-    Terminates for k >= 3 because the right side tends to 1/k^2 < 1/(2k+1).
-    The boundary flag marks exact equality at the minimal order.
+    Decided in integers: 1/(2k+1) >= (1/k + 1/n)^2 = ((n + k)/(kn))^2 iff
+    k^2 n^2 >= (2k+1)(n + k)^2.  Terminates for k >= 3 because the right
+    side of the condition tends to 1/k^2 < 1/(2k+1).  The boundary flag
+    marks exact equality at the minimal order.
     """
     if k < 3:
         raise PreconditionError("threshold scan needs k >= 3")
     n = k
-    while True:
-        verdict = threshold_condition(k, n, n)
-        if verdict.satisfied:
-            return ThresholdEntry(k, n, verdict.boundary)
+    while k * k * n * n < (2 * k + 1) * (n + k) ** 2:
         n += 1
+    return ThresholdEntry(k, n, k * k * n * n == (2 * k + 1) * (n + k) ** 2)
 
 
 def kreg_order_bound(n: int, k: int) -> int:

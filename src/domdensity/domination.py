@@ -19,20 +19,28 @@ the union of the closed neighbourhoods of the vertices excluded so far, is
 carried down the search so that only uncovered vertices inside it are
 counted, since every other one keeps its whole closed neighbourhood.
 
-One recursive descent, the kernel, serves both passes.  It carries the
-chosen vertices as a mask, records every full cover it reaches as ``found``
-and its size as ``best``, and stops at the first cover of size <= ``goal``.
-It is one nested function with the branch-vertex rule inlined, built once
-per pass as the pass starts: the read-only tables (``closed``, the
-mirrored and packing tables, ``cand_order``, ``pref``, ``size_classes``)
-are its closure locals, so that a node reads no attribute but the mutable
-state (``nodes``, ``best``, ``found``, ``goal``, ``visit``, and the root's
-``root`` and ``budget``), which stays on the search.  The value pass
-sets ``goal`` to -1 and ``best`` and ``found`` to a seed cover, so it never
-stops early and ends with an optimal cover in ``found``.  The seed is the
-smaller of two covers, the greedy one on a tie: a lazy max-coverage greedy
-(Minoux's accelerated greedy) and a dive along the branching rule.  Either
-seed leaves the search exact, and the witness is lex-min whatever the seed.
+One recursive descent, the kernel, serves both passes.  A call is a node
+that its parent has already counted and bounded: it carries the chosen
+vertices as a mask with their count, and the vertices they leave uncovered,
+plain and mirrored.  It picks the branch vertex and evaluates each child in
+its own loop: there the child is counted in ``nodes``, a full cover is
+recorded as ``found`` with its size as ``best`` (the search stops at the
+first cover of size <= ``goal``), and a child that a bound cuts is dropped,
+so that only a child that survives its bounds becomes a call.  A witness
+probe's root enters that loop as the one child of its prefix; the value
+pass's root, the one node that is no vertex's child, is counted and bounded
+by ``minimum_size``.  The kernel is one nested function with the
+branch-vertex rule inlined, built once per pass as the pass starts: the
+read-only tables (``closed`` and its complements, the mirrored and packing
+tables, ``cand_order``, ``pref``, ``size_classes``) are its closure locals,
+so that a node reads no attribute but the mutable state (``nodes``,
+``best``, ``found``, ``goal``, ``visit``, and the root's ``root`` and
+``budget``), which stays on the search.  The value pass sets ``goal`` to
+-1 and ``best`` and ``found`` to a seed cover, so it never stops early and
+ends with an optimal cover in ``found``.  The seed is the smaller of two
+covers, the greedy one on a tie: a lazy max-coverage greedy (Minoux's
+accelerated greedy) and a dive along the branching rule.  Either seed
+leaves the search exact, and the witness is lex-min whatever the seed.
 
 The value pass's root prunes by symmetry: it skips a child u when a checked
 automorphism sigma maps u onto an earlier root child u' (u is still excluded
@@ -198,9 +206,9 @@ class _Search:
             size = self.closed[v].bit_count()
             sizes[size] = sizes.get(size, 0) | 1 << v
         self.size_classes = sorted(sizes.items())
-        # near_prefix[v]: union of closed[u] over u <= v, the ``near`` mask
-        # of a witness step that has excluded every vertex up to v.
-        self.near_prefix = list(accumulate(self.closed, or_))
+        # near_prefix[v]: union of closed[u] over u < v, the ``near`` mask
+        # of a witness probe's prefix, which has excluded every vertex below v.
+        self.near_prefix = list(accumulate(self.closed, or_, initial=0))
         self.goal = -1
         self.best = g.n
         self.found = 0  # the last full cover reached, of size best
@@ -257,9 +265,22 @@ class _Search:
 
     def minimum_size(self, seed: int) -> int:
         self.goal, self.best, self.found = -1, seed.bit_count(), seed
-        self.nodes, self.root = 0, []
+        self.nodes, self.root = 1, []
+        # The root is no vertex's child, so no kernel loop evaluates it: it
+        # is counted and bounded here, over the whole vertex set (its own
+        # mirror).
+        full, need = self.full, self.best
+        if self.n > (need - 1) * self.cover_span:
+            return need
+        for far in self.far, self.mfar:
+            m, left = full, need
+            while m:
+                left -= 1
+                if not left:
+                    return need
+                m &= far[m.bit_length() - 1]
         with self._kernel() as descend:
-            descend(0, 0, 0, self.full, 0)
+            descend(0, 0, full, full, full, 0, None, self._image_of_earlier)
         return self.best
 
     def _image_of_earlier(self, u: int) -> bool:
@@ -280,9 +301,22 @@ class _Search:
     @contextmanager
     def _kernel(self):
         """The branch and bound below one node, as a function
-        descend(chosen, covered, mcovered, allowed, near) that returns True at
-        a cover of size <= goal; ``mcovered`` is ``covered`` mirrored (vertex
-        v at bit n-1-v).
+        descend(chosen, count, uncovered, muncovered, allowed, near,
+        cands=None, prune=None) that returns True at a cover of size
+        <= goal.
+
+        A call is a node that its caller has counted and bounded, carrying
+        ``chosen``, its size ``count`` and the vertices left uncovered, plain
+        and mirrored (vertex v at bit n-1-v).  Its loop counts each allowed
+        child in ``nodes`` (after the orbit check ``prune`` and before any
+        bound, so that ``_image_of_earlier`` reads every node evaluated so
+        far), records a full cover, drops a child that a bound cuts, and
+        calls only a child that survives.  A probe root is the one child v
+        (``cands`` = (v,)) of its prefix.  The value pass's root is no
+        vertex's child, so ``minimum_size`` counts it and bounds it with its
+        own copy of the three bounds (a root they cut ends the pass after
+        one node, as C4096's does), and passes ``_image_of_earlier`` as
+        ``prune`` to the root's call alone.
 
         It reads the tables as closure locals, and each pass builds it once,
         as it starts: a table set after construction is still read, and no
@@ -291,84 +325,103 @@ class _Search:
         cycle would keep a finished search's tables until the cyclic garbage
         collector ran, which a long ``transform`` trace shows in its peak
         memory."""
-        n, full, cover_span = self.n, self.full, self.cover_span
-        closed, mclosed, cand_order, pref = self.closed, self.mclosed, self.cand_order, self.pref
-        size_classes, image_of_earlier = self.size_classes, self._image_of_earlier
+        n, closed, mclosed = self.n, self.closed, self.mclosed
+        cand_order, pref, size_classes = self.cand_order, self.pref, self.size_classes
         # far and mfar one slot up, so that a packing indexes them by
         # m.bit_length(), one more than m's highest vertex.
         far, mfar = [0] + self.far, [0] + self.mfar
+        # spans[need]: (need - 1) * cover_span, the most vertices that
+        # need - 1 more vertices can cover, for need from 1 - n to n + 1.  A
+        # need below 1 (the incumbent fell while the parent searched)
+        # indexes the -1 entries from the end, so that it cuts.
+        spans = [(need - 1) * self.cover_span for need in range(n + 2)] + [-1] * n
+        # opened[u]: the vertices closed[u] misses, so that a child's
+        # uncovered set is one and-mask; mopened mirrors it.
+        opened = [self.full ^ c for c in closed]
+        mopened = [self.full ^ c for c in mclosed]
         no_key = n * (n + 1)
 
-        def descend(chosen, covered, mcovered, allowed, near):
-            self.nodes += 1
-            count = chosen.bit_count()
-            if covered == full:
-                if self.visit is not None and count == self.goal:
-                    self.visit(chosen)
-                    return False
-                self.best, self.found = count, chosen
-                return count <= self.goal
-            need = self.best - count
-            uncovered = full ^ covered  # covered lies within full
-            if -(-uncovered.bit_count() // cover_span) >= need:
-                return False
-            # Two greedy 2-packings, each stopped once it reaches need: in
-            # descending order, and in ascending order as descending over the
-            # mirrored masks.
-            m, left = uncovered, need
-            while m:
-                left -= 1
-                if not left:
-                    return False
-                m &= far[m.bit_length()]
-            m, left = full ^ mcovered, need
-            while m:
-                left -= 1
-                if not left:
-                    return False
-                m &= mfar[m.bit_length()]
-            # The branch vertex: the uncovered vertex with the fewest allowed
-            # dominators, ties to the lower pref, keyed as count * n + pref.
-            # ``near`` is the union of closed[u] over the excluded vertices
-            # (those not in ``allowed``).  An uncovered vertex outside it
-            # keeps its whole closed neighbourhood as dominators, so only the
-            # ones inside are counted; among the rest the smallest
-            # neighbourhood wins, and within one size the lowest index, which
-            # is the lowest pref.
-            key = no_key
-            m = uncovered & ~near
-            for size, members in size_classes:
-                if low := m & members:
-                    v = (low & -low).bit_length() - 1
-                    key = size * n + pref[v]
-                    break
-            m = uncovered & near
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                c = (closed[w] & allowed).bit_count() * n + pref[w]
-                if c < key:
-                    key, v = c, w
-            # Every uncovered vertex keeps an allowed dominator: the value
-            # pass's root allows every vertex; a witness probe at v < c allows
-            # the vertices of ``found`` above c, which dominate what
-            # ``chosen`` leaves uncovered; and a child excludes at most c_v - 1
-            # dominators of any vertex, since the branch vertex v has the
-            # fewest allowed ones.  Not so in an enumeration probe: a vertex
-            # with no allowed dominator is picked there, and the node has no
-            # child.
+        def descend(chosen, count, uncovered, muncovered, allowed, near,
+                    cands=None, prune=None):
+            if cands is None:
+                # The branch vertex: the uncovered vertex with the fewest
+                # allowed dominators, ties to the lower pref, keyed as
+                # count * n + pref.  ``near`` is the union of closed[u] over
+                # the excluded vertices (those not in ``allowed``).  An
+                # uncovered vertex outside it keeps its whole closed
+                # neighbourhood as dominators, so only the ones inside are
+                # counted; among the rest the smallest neighbourhood wins,
+                # and within one size the lowest index, which is the lowest
+                # pref.
+                key = no_key
+                inside = uncovered & near
+                m = uncovered ^ inside
+                for size, members in size_classes:
+                    if low := m & members:
+                        v = (low & -low).bit_length() - 1
+                        key = size * n + pref[v]
+                        break
+                m = inside
+                while m:
+                    low = m & -m
+                    w = low.bit_length() - 1
+                    m ^= low
+                    c = (closed[w] & allowed).bit_count() * n + pref[w]
+                    if c < key:
+                        key, v = c, w
+                # Every uncovered vertex keeps an allowed dominator: the
+                # value pass's root allows every vertex; a witness probe at
+                # v < c allows the vertices of ``found`` above c, which
+                # dominate what its prefix leaves uncovered; and a child
+                # excludes at most c_v - 1 dominators of any vertex, since
+                # the branch vertex v has the fewest allowed ones.  Not so
+                # in an enumeration probe: a vertex with no allowed
+                # dominator is picked there, and the node has no child.
+                cands = cand_order[v]
+            count += 1  # each child's size
             rest = allowed
-            for u in cand_order[v]:
+            for u in cands:
                 if rest >> u & 1:
                     rest ^= 1 << u
                     near |= closed[u]
-                    # Only the value pass's root has chosen nothing.
-                    if not chosen and image_of_earlier(u):
+                    if prune and prune(u):
                         continue
-                    if descend(chosen | 1 << u, covered | closed[u],
-                               mcovered | mclosed[u], rest, near):
-                        return True
+                    self.nodes += 1
+                    left = uncovered & opened[u]
+                    if not left:
+                        if self.visit is not None and count == self.goal:
+                            self.visit(chosen | 1 << u)
+                        else:
+                            self.best, self.found = count, chosen | 1 << u
+                            if count <= self.goal:
+                                return True
+                        continue
+                    need = self.best - count
+                    if left.bit_count() > spans[need]:
+                        continue
+                    # Two greedy 2-packings, each stopped once it reaches
+                    # need: in descending order, and in ascending order as
+                    # descending over the mirrored masks.  A packing that
+                    # reaches need breaks, which drops the child; only a
+                    # child that both packings run dry on (each else)
+                    # becomes a call.
+                    m, k = left, need
+                    while m:
+                        k -= 1
+                        if not k:
+                            break
+                        m &= far[m.bit_length()]
+                    else:
+                        mleft = muncovered & mopened[u]
+                        m, k = mleft, need
+                        while m:
+                            k -= 1
+                            if not k:
+                                break
+                            m &= mfar[m.bit_length()]
+                        else:
+                            if descend(chosen | 1 << u, count, left, mleft, rest, near):
+                                return True
             return False
 
         try:
@@ -376,31 +429,34 @@ class _Search:
         finally:
             del descend
 
-    def _probe(self, descend, gamma: int, v: int, chosen=0, covered=0, mcovered=0) -> bool:
+    def _probe(self, descend, gamma: int, v: int, chosen: int, uncovered: int,
+               muncovered: int) -> bool:
         """A descent by ``descend``, this search's kernel, at gamma below
-        ``chosen`` + v, every vertex up to v excluded."""
+        ``chosen`` + v, every vertex up to v excluded: v is the one child of
+        the prefix ``chosen``, which leaves ``uncovered`` (mirrored:
+        ``muncovered``) and allows v and the vertices above it."""
         self.goal, self.best = gamma, gamma + 1
-        return descend(chosen | 1 << v, covered | self.closed[v],
-                       mcovered | self.mclosed[v], self.full & ~((2 << v) - 1),
-                       self.near_prefix[v])
+        return descend(chosen, chosen.bit_count(), uncovered, muncovered,
+                       self.full >> v << v, self.near_prefix[v], (v,))
 
     def lexmin_witness(self, gamma: int) -> int:
         """Smallest minimum dominating set under sorted-vertex-tuple order.
 
         Runs after ``minimum_size``, which leaves an optimal cover in ``found``.
         """
-        chosen = covered = mcovered = lo = 0
+        chosen = lo = 0
+        uncovered = muncovered = self.full
         with self._kernel() as descend:
-            while covered != self.full:
+            while uncovered:
                 # ``found`` holds ``chosen`` and then its next vertex c, so a
                 # probe at c would succeed: probe only lo..c-1.
                 rest = self.found >> lo
                 c = lo + (rest & -rest).bit_length() - 1
-                c = next((v for v in range(lo, c)
-                          if self._probe(descend, gamma, v, chosen, covered, mcovered)), c)
+                c = next((v for v in range(lo, c) if self._probe(
+                    descend, gamma, v, chosen, uncovered, muncovered)), c)
                 chosen |= 1 << c
-                covered |= self.closed[c]
-                mcovered |= self.mclosed[c]
+                uncovered &= ~self.closed[c]
+                muncovered &= ~self.mclosed[c]
                 lo = c + 1
         return chosen
 
@@ -414,7 +470,7 @@ def each_minimum_set(g: Graph, gamma: int, visit) -> None:
     search = _Search(g, visit)
     with search._kernel() as descend:
         for v in range(g.n):
-            if search._probe(descend, gamma, v):
+            if search._probe(descend, gamma, v, 0, search.full, search.full):
                 raise ValueError(f"{gamma} is not this graph's domination number:"
                                  f" {search.best} vertices dominate it (a wrong gamma"
                                  " cache entry?)")

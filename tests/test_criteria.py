@@ -153,6 +153,17 @@ class TestThresholds:
             if n > k:
                 assert not threshold_condition(k, n - 1, n - 1).satisfied
 
+    def test_integer_rule_matches_the_rational_condition(self):
+        # min_threshold_order decides k^2 n^2 >= (2k+1)(n+k)^2 in integers.
+        # The rational condition only loosens as n grows, so it holds from
+        # N(k) on, and it can meet equality at N(k) alone.
+        for k in range(3, 51):
+            entry = min_threshold_order(k)
+            for n in range(k, 301):
+                verdict = threshold_condition(k, n, n)
+                assert verdict.satisfied == (n >= entry.n_min)
+                assert verdict.boundary == (n == entry.n_min and entry.boundary)
+
     def test_table_and_auto_regime(self):
         table = build_threshold_table(12)
         assert [entry.k for entry in table] == list(range(3, 13))

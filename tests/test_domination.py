@@ -216,8 +216,8 @@ class TestSearchNodes:
     ], ids=["C7xC7", "C8xC9", "C7xC7-two-packings", "C8xC9-two-packings"])
     def test_descend_calls_per_pass(self, a, b, one_packing, value_nodes,
                                     unseeded_witness_nodes):
-        # ``nodes`` counts every descent of both passes, from the value
-        # pass's start.
+        # ``nodes`` counts every node both passes evaluate, cut or not, from
+        # the value pass's start.
         search = new_search(cartesian_product(cycle_graph(a), cycle_graph(b)), one_packing)
         gamma = search.minimum_size(search.greedy_cover())
         assert search.nodes == value_nodes
@@ -338,6 +338,7 @@ class TestSeedRule:
             "P8xP8": (path_graph(8), path_graph(8)),
             "C7xC7": (cycle_graph(7), cycle_graph(7)),
             "C8xC9": (cycle_graph(8), cycle_graph(9)),
+            "C9xC9": (cycle_graph(9), cycle_graph(9)),
         }
         return cartesian_product(*factors[name])
 
@@ -383,6 +384,7 @@ class TestSeedRule:
         ("C8xC9", 28_404, 6_187),
         ("P8xP8", 1_303, 3_956),
         ("rank6xC5", 6_503, 22_748),
+        ("C9xC9", 48_516, 24_406),
     ])
     def test_gamma_exact_nodes_per_pass(self, rank6_matrix, name, value_nodes,
                                         witness_nodes):
@@ -490,24 +492,44 @@ class TestPackings:
         assert descending_larger >= 10 and ascending_larger >= 10
 
     def test_a_node_is_cut_by_the_larger_bound(self):
-        # Every vertex is allowed, so a node that is not cut enters a child:
-        # it is cut iff its search counts one node.  The root children are
-        # reset, so that orbit pruning skips none of them.
+        # A state enters the kernel as the one child v of a prefix that
+        # chose nothing and allows every vertex: the child leaves
+        # uncovered & ~closed[v], and its need is best - 1.  Every dominator
+        # of a vertex it leaves uncovered is still allowed, so a child that
+        # is not cut evaluates one of its own: the child is cut iff the
+        # search counts one node.  The value pass's root, which
+        # ``minimum_size`` bounds by its own copy, is the whole vertex set
+        # at need = the seed's size; orbit pruning never skips its first
+        # child.
+        def bound(search, g, uncovered):
+            return max(-(-uncovered.bit_count() // search.cover_span),
+                       len(top_bit_packing(search.far, uncovered)),
+                       len(top_bit_packing(search.mfar, mirror(uncovered, g.n))))
+
+        cuts = survivors = 0
         for g, covered in self.cases():
-            uncovered = g.vertex_mask & ~covered
-            if not uncovered:
-                continue
             search = _Search(g)
-            bound = max(-(-uncovered.bit_count() // search.cover_span),
-                        len(top_bit_packing(search.far, uncovered)),
-                        len(top_bit_packing(search.mfar, mirror(uncovered, g.n))))
             with search._kernel() as descend:
-                for need in range(1, g.n + 2):
-                    search.best, search.nodes, search.root = need, 0, []
-                    found = descend(0, covered, mirror(covered, g.n), g.vertex_mask, 0)
-                    assert (search.nodes == 1) == (need <= bound)
-                    if need <= bound:
-                        assert found is False
+                for v in range(g.n):
+                    uncovered = g.vertex_mask & ~covered & ~search.closed[v]
+                    if not uncovered:
+                        continue
+                    cut_from = bound(search, g, uncovered)
+                    for need in range(1, g.n + 2):
+                        search.goal, search.best, search.nodes = -1, need + 1, 0
+                        found = descend(0, 0, g.vertex_mask & ~covered,
+                                        mirror(g.vertex_mask & ~covered, g.n),
+                                        g.vertex_mask, 0, (v,))
+                        assert (search.nodes == 1) == (need <= cut_from)
+                        if need <= cut_from:
+                            assert found is False
+                        cuts += need <= cut_from
+                        survivors += need > cut_from
+            cut_from = bound(search, g, g.vertex_mask)
+            for need in range(1, g.n + 1):
+                assert search.minimum_size((1 << need) - 1) <= need
+                assert (search.nodes == 1) == (need <= cut_from)
+        assert cuts >= 1000 and survivors >= 1000
 
 
 def hypercube(d):
@@ -659,6 +681,25 @@ class TestEachMinimumSet:
             each_minimum_set(g, gamma, seen.append)
             assert len(seen) == len(set(seen))
             assert set(seen) == set(_dominating_sets(g, gamma))
+
+    # The enumeration's probes keep their search trees: nodes over all the
+    # probes, and the sets visited.
+    @pytest.mark.parametrize("name, gamma, nodes, sets", [
+        ("rank6", 4, 129, 51),
+        ("P12", 4, 20, 1),
+    ])
+    def test_probe_nodes(self, monkeypatch, rank6_matrix, name, gamma, nodes, sets):
+        g = to_graph(rank6_matrix).graph if name == "rank6" else path_graph(12)
+        searches, seen = [], []
+
+        class Recorded(_Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        monkeypatch.setattr(domination, "_Search", Recorded)
+        each_minimum_set(g, gamma, seen.append)
+        assert (searches[0].nodes, len(seen)) == (nodes, sets)
 
     # Every probe that meets a minimum dominating set reaches a cover below a
     # gamma that is too large, so no such gamma passes.

@@ -87,7 +87,8 @@ def test_every_private_name_is_read(module):
 # loads only for a graph with more than 62 vertices, base64: the graph6
 # codec calls binascii, which the interpreter loads at start-up, csv,
 # which only the csv output of a command loads, and fractions with the
-# decimal module it imports: no scan or gamma command builds a rational.
+# decimal module it imports: no scan, gamma or thresholds command builds a
+# rational, nor does check-vizing on factors that are not bipartite.
 STARTUP_FREE = {"dataclasses", "inspect", "hashlib", "base64", "csv",
                 "fractions", "decimal"}
 
@@ -116,6 +117,14 @@ def test_check_vizing_on_odd_cycles_builds_no_rational(tmp_path):
         path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
         files.append(str(path))
     run = f"from domdensity.cli import main\nassert main(['check-vizing', *{files!r}]) == 0"
+    added = _modules_after(run) - _modules_after("import domdensity.cli")
+    assert not added & {"fractions", "decimal"}, sorted(added & {"fractions", "decimal"})
+
+
+def test_thresholds_builds_no_rational():
+    # N(k) is decided in integers; the benchmark's start-up probe is
+    # ``thresholds 3``.
+    run = "from domdensity.cli import main\nassert main(['thresholds', '50']) == 0"
     added = _modules_after(run) - _modules_after("import domdensity.cli")
     assert not added & {"fractions", "decimal"}, sorted(added & {"fractions", "decimal"})
 
